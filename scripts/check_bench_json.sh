@@ -35,6 +35,7 @@ DETERMINISM_BENCHES=(
   table1_interweave_amplitude
   table2_overlay_single_relay
   table3_overlay_multi_relay
+  table4_underlay_per
   validate_energy_model
   ext_fault_recovery
   ext_network_lifetime

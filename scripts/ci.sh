@@ -4,7 +4,8 @@
 # clang-tidy (bugprone-* + performance-*; skipped when the tool is not
 # installed), the obs kill-switch/overhead gate, the COMIMO_SIMD=OFF
 # scalar-pinned leg, the workspace + simd batch link-kernel tests under
-# ASan + UBSan, and (optionally) the full sanitizer suite.
+# ASan + UBSan, the thread-pool tests under TSan, and (optionally) the
+# full sanitizer suite.
 #
 # Usage: scripts/ci.sh [build-dir]          (default: build)
 #        CI_SANITIZE=1 scripts/ci.sh        also runs check_sanitized.sh
@@ -73,9 +74,27 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # the quiesce-and-fork shard driver — the lifetime bugs this sweep
 # exists for surface as ASan/UBSan reports here.  AdaptiveMc and
 # ImportanceSampling cover the checkpoint driver's accumulator folding
-# and the tilted-noise weight path.
+# and the tilted-noise weight path.  DetectorGrid drives the GMSK
+# detector-grid chain's index arithmetic against the full waveform, and
+# ParallelForChunks includes the many-callers stress test of the
+# pool's completion hand-off (a stack use-after-free when it was racy).
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling' \
+  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|DetectorGrid|ParallelForChunks' \
+  -j "$(nproc)"
+
+echo "== thread pool under ThreadSanitizer =="
+# The pool's completion hand-off raced with the caller's return; a plain
+# or ASan build almost never shows it, TSan reports it on every run of
+# the many-callers stress test.  Only the test binary is built here.
+TSAN_DIR="${BUILD_DIR}-tsan"
+cmake -B "$TSAN_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread \
+  -DCOMIMO_BUILD_BENCH=OFF \
+  -DCOMIMO_BUILD_EXAMPLES=OFF > /dev/null
+cmake --build "$TSAN_DIR" --target comimo_tests -j "$(nproc)"
+ctest --test-dir "$TSAN_DIR" --output-on-failure -R 'ThreadPool|ParallelFor' \
   -j "$(nproc)"
 
 if [ "${CI_SANITIZE:-0}" = "1" ]; then

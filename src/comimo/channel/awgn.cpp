@@ -23,6 +23,20 @@ std::vector<cplx> AwgnChannel::add(std::span<const cplx> samples) {
 
 cplx AwgnChannel::sample() { return rng_.complex_gaussian(noise_variance_); }
 
+void AwgnChannel::skip(std::size_t n) {
+  if (n == 0) return;
+  if (!rng_.gaussian_spare_pending()) {
+    // sample() then draws one fresh pair and leaves no spare behind.
+    rng_.discard(2 * static_cast<std::uint64_t>(n));
+    return;
+  }
+  // With a spare pending, every sample still takes two words but
+  // replaces the spare; the last skipped sample's spare is the one the
+  // next sample() reads, so that sample is drawn for real.
+  rng_.discard(2 * static_cast<std::uint64_t>(n - 1));
+  (void)sample();
+}
+
 double noise_variance_for_ebn0_db(double ebn0_db, double es,
                                   double bits_per_symbol) {
   COMIMO_CHECK(es > 0.0 && bits_per_symbol > 0.0,

@@ -22,6 +22,10 @@ class AwgnChannel {
   [[nodiscard]] std::vector<cplx> add(std::span<const cplx> samples);
   /// One noise sample.
   [[nodiscard]] cplx sample();
+  /// Advances the noise stream past `n` samples without computing them:
+  /// afterwards sample() returns what the (n+1)-th sample() call would
+  /// have.  Each sample is one Box–Muller pair, two words of the stream.
+  void skip(std::size_t n);
 
   [[nodiscard]] double noise_variance() const noexcept {
     return noise_variance_;

@@ -186,7 +186,10 @@ void parallel_for_chunks(
   const std::size_t base = n / chunks;
   const std::size_t extra = n % chunks;
   std::size_t begin = 0;
-  std::atomic<std::size_t> remaining{chunks};
+  // Guarded by done_mutex.  A worker's last touch of this frame is the
+  // unlock after its decrement, so the caller, which must take the same
+  // mutex to see zero, can never return while a worker still uses it.
+  std::size_t remaining = chunks;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -200,16 +203,14 @@ void parallel_for_chunks(
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!failed.exchange(true)) first_error = std::current_exception();
       }
-      if (remaining.fetch_sub(1) == 1) {
-        const std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
-      }
+      const std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
     begin = end;
   }
 
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (failed.load() && first_error) std::rethrow_exception(first_error);
 }
 

@@ -40,6 +40,10 @@ std::uint64_t Rng::next() noexcept {
   return result;
 }
 
+void Rng::discard(std::uint64_t n) noexcept {
+  for (; n > 0; --n) (void)next();
+}
+
 double Rng::uniform() noexcept {
   // 53 random mantissa bits -> [0, 1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;

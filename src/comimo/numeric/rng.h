@@ -33,6 +33,10 @@ class Rng {
 
   [[nodiscard]] std::uint64_t next() noexcept;
 
+  /// Advances the stream by `n` words, exactly as `n` calls of next()
+  /// would.  A pending Gaussian spare is left as it is.
+  void discard(std::uint64_t n) noexcept;
+
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform() noexcept;
   /// Uniform double in [lo, hi).
@@ -46,6 +50,11 @@ class Rng {
   [[nodiscard]] double gaussian() noexcept;
   /// N(mean, stddev²).
   [[nodiscard]] double gaussian(double mean, double stddev) noexcept;
+  /// True when the next gaussian() returns the cached Box–Muller spare
+  /// and draws no word.
+  [[nodiscard]] bool gaussian_spare_pending() const noexcept {
+    return has_spare_;
+  }
 
   /// Circularly-symmetric complex Gaussian CN(0, variance), i.e. each of
   /// the real and imaginary parts has variance `variance/2`.

@@ -1,5 +1,6 @@
 #include "comimo/phy/gmsk.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "comimo/common/error.h"
@@ -7,6 +8,30 @@
 #include "comimo/numeric/special.h"
 
 namespace comimo {
+
+namespace {
+
+// Most entries (2^(span+1) bit patterns × sps, 512 KiB) a modem's
+// phase-step table may hold.
+constexpr std::size_t kMaxPhaseSteps = std::size_t{1} << 16;
+
+// modulate()'s phase advance at sample r of a symbol period.  The
+// frequency sums tap d·sps + r of the bits aged d_hi down to d_lo (age d
+// = d symbols older; oldest first, i.e. ascending bit order, the order
+// that fixes the rounding), and the phase takes 2π·h·freq with h = 1/2.
+template <class BitOfAge>
+double phase_step(const std::vector<double>& pulse, std::size_t sps,
+                  std::size_t r, std::size_t d_lo, std::size_t d_hi,
+                  BitOfAge bit_of_age) {
+  double freq = 0.0;
+  for (std::size_t d = d_hi + 1; d-- > d_lo;) {
+    const double nrz = bit_of_age(d) ? 1.0 : -1.0;
+    freq += nrz * pulse[d * sps + r];
+  }
+  return 2.0 * kPi * freq * 0.5;  // as in modulate()
+}
+
+}  // namespace
 
 GmskModem::GmskModem(const GmskConfig& config) : config_(config) {
   COMIMO_CHECK(config.samples_per_symbol >= 2, "need >= 2 samples/symbol");
@@ -19,6 +44,12 @@ GmskModem::GmskModem(const GmskConfig& config) : config_(config) {
   // so Σ g = 1/2 (modulation index h = 0.5 ⇒ π/2 phase per bit).
   const unsigned sps = config.samples_per_symbol;
   const unsigned span = config.pulse_span_symbols;
+  // demodulate() decides bit 0 from samples gd + sps/2 − sps and
+  // gd + sps/2, gd = span·sps/2 being the pulse's group delay; an odd
+  // sps with a one-symbol span puts the first of them before sample 0.
+  COMIMO_CHECK(static_cast<std::size_t>(span) * sps / 2 + sps / 2 >= sps,
+               "first detector window starts before sample 0 (an odd "
+               "samples_per_symbol needs pulse_span_symbols >= 2)");
   const std::size_t len = static_cast<std::size_t>(span) * sps + 1;
   pulse_.resize(len);
   const double a = 2.0 * kPi * config.bt / std::sqrt(std::log(2.0));
@@ -34,10 +65,34 @@ GmskModem::GmskModem(const GmskConfig& config) : config_(config) {
   COMIMO_CHECK(sum > 0.0, "degenerate Gaussian pulse");
   const double scale = 0.5 / sum;
   for (auto& v : pulse_) v *= scale;
+
+  // modulate_grid() reads a symbol period's phase steps from here when
+  // all span + 1 bits of its window exist: row w holds bit d of w as the
+  // bit d symbols older.  The taps end at span·sps, so the oldest bit
+  // reaches only r = 0.  Pulses too long to tabulate are summed per
+  // symbol instead.
+  if (span < 16 && (std::size_t{2} << span) * sps <= kMaxPhaseSteps) {
+    const std::size_t windows = std::size_t{2} << span;
+    phase_steps_.resize(windows * sps);
+    for (std::size_t w = 0; w < windows; ++w) {
+      for (std::size_t r = 0; r < sps; ++r) {
+        phase_steps_[w * sps + r] =
+            phase_step(pulse_, sps, r, 0, r > 0 ? span - 1 : span,
+                       [w](std::size_t d) { return (w >> d) & 1; });
+      }
+    }
+  }
 }
 
 std::size_t GmskModem::samples_for_bits(std::size_t n) const noexcept {
   return (n + config_.pulse_span_symbols) * config_.samples_per_symbol;
+}
+
+GmskDetectorGrid GmskModem::detector_grid(std::size_t n) const noexcept {
+  const std::size_t sps = config_.samples_per_symbol;
+  const std::size_t group_delay =
+      static_cast<std::size_t>(config_.pulse_span_symbols) * sps / 2;
+  return {group_delay + sps / 2 - sps, sps, n + 1, samples_for_bits(n)};
 }
 
 std::vector<cplx> GmskModem::modulate(
@@ -90,6 +145,59 @@ BitVec GmskModem::demodulate(std::span<const cplx> samples,
     bits.push_back(d.imag() > 0.0 ? std::uint8_t{1} : std::uint8_t{0});
   }
   return bits;
+}
+
+void GmskModem::modulate_grid(std::span<const std::uint8_t> bits,
+                              std::vector<cplx>& out) const {
+  const std::size_t sps = config_.samples_per_symbol;
+  const std::size_t span = config_.pulse_span_symbols;
+  const std::size_t n = bits.size();
+  const GmskDetectorGrid grid = detector_grid(n);
+  out.resize(grid.count);
+
+  // modulate() rounds in two fixed orders: each sample's frequency sums
+  // the bits' pulse taps in ascending bit order, and the phase sums the
+  // steps sample by sample.  Both are kept; only cos/sin and the output
+  // are limited to the grid, and nothing after its last sample is done.
+  // Sample r of symbol period m takes tap (m − k)·sps + r of bit k.
+  std::vector<double> edge_steps(sps);
+  const std::size_t window_mask = phase_steps_.size() / sps - 1;
+  std::size_t window = 0;  // bit d: bit m − d of the frame
+  double phase = 0.0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (std::size_t m = 0; j < grid.count; ++m) {
+    window = ((window << 1) | (m < n && bits[m] ? 1 : 0)) & window_mask;
+    const double* steps = edge_steps.data();
+    if (m >= span && m < n && !phase_steps_.empty()) {
+      steps = &phase_steps_[window * sps];
+    } else {
+      // Near the frame's ends only bits m − d with d in [d_lo, d_hi]
+      // exist.
+      const std::size_t d_lo = m >= n ? m - n + 1 : 0;
+      for (std::size_t r = 0; r < sps; ++r) {
+        const std::size_t d_hi = std::min(m, r > 0 ? span - 1 : span);
+        edge_steps[r] =
+            phase_step(pulse_, sps, r, d_lo, d_hi,
+                       [&](std::size_t d) { return bits[m - d] != 0; });
+      }
+    }
+    for (std::size_t r = 0; r < sps && j < grid.count; ++r, ++i) {
+      phase += steps[r];
+      if (i == grid.first + j * sps) {
+        out[j++] = cplx{std::cos(phase), std::sin(phase)};
+      }
+    }
+  }
+}
+
+void GmskModem::demodulate_grid(std::span<const cplx> grid, BitVec& bits) {
+  COMIMO_CHECK(!grid.empty(), "a detector grid holds at least one sample");
+  bits.resize(grid.size() - 1);
+  for (std::size_t k = 0; k < bits.size(); ++k) {
+    const cplx d = grid[k + 1] * std::conj(grid[k]);
+    bits[k] = d.imag() > 0.0 ? std::uint8_t{1} : std::uint8_t{0};
+  }
 }
 
 }  // namespace comimo

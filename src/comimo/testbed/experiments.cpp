@@ -220,9 +220,10 @@ UnderlayPerResult run_underlay_per(const UnderlayPerConfig& cfg) {
 
   UnderlayPerResult result;
   std::vector<Packet> received;
+  std::vector<cplx> y;
+  BitVec rx_bits;
   for (const auto& pkt : packets) {
     const BitVec tx_bits = framer.frame(pkt);
-    const std::vector<cplx> s = modem.modulate(tx_bits);
 
     // Block fading per packet per transmitter; the cooperative case
     // superposes two faded copies of the same waveform (two co-located
@@ -245,13 +246,10 @@ UnderlayPerResult run_underlay_per(const UnderlayPerConfig& cfg) {
           fading_rng.complex_gaussian(mean_power / (k + 1.0));
       h += los2 * rot + scatter2;
     }
-    std::vector<cplx> y(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      y[i] = h * s[i] + noise.sample();
-    }
     // The differential GMSK detector needs no channel estimate (phase
     // cancels in the one-symbol difference).
-    const BitVec rx_bits = modem.demodulate(y, tx_bits.size());
+    underlay_link_on_grid(modem, tx_bits, h, noise, y);
+    GmskModem::demodulate_grid(y, rx_bits);
     if (auto parsed = framer.parse(rx_bits)) {
       received.push_back(std::move(*parsed));
     }
@@ -263,6 +261,19 @@ UnderlayPerResult run_underlay_per(const UnderlayPerConfig& cfg) {
                static_cast<double>(packets.size());
   result.reassembly = reassemble(image, received, cfg.packet_bytes);
   return result;
+}
+
+void underlay_link_on_grid(const GmskModem& modem,
+                           std::span<const std::uint8_t> bits, const cplx& h,
+                           AwgnChannel& noise, std::vector<cplx>& y) {
+  const GmskDetectorGrid grid = modem.detector_grid(bits.size());
+  modem.modulate_grid(bits, y);
+  noise.skip(grid.first);
+  for (std::size_t j = 0; j < grid.count; ++j) {
+    if (j > 0) noise.skip(grid.stride - 1);
+    y[j] = h * y[j] + noise.sample();
+  }
+  noise.skip(grid.total - grid.last() - 1);
 }
 
 // ---------------------------------------------------------------------

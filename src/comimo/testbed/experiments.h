@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "comimo/phy/combining.h"
@@ -18,6 +19,8 @@
 #include "comimo/testbed/image.h"
 
 namespace comimo {
+
+class AwgnChannel;
 
 // ---------------------------------------------------------------------
 // Overlay BER experiments (Tables 2 and 3)
@@ -108,6 +111,16 @@ struct UnderlayPerResult {
 };
 
 [[nodiscard]] UnderlayPerResult run_underlay_per(const UnderlayPerConfig& cfg);
+
+/// One frame through Table 4's link, y = h·s + w with s =
+/// modem.modulate(bits) and one `noise` sample per sample of s, computed
+/// only where the detector reads: `y` is resized to
+/// modem.detector_grid(bits.size()) and equals the full waveform's
+/// samples there bit for bit.  `noise` ends where drawing every sample
+/// would leave it; the other samples' draws are skipped.
+void underlay_link_on_grid(const GmskModem& modem,
+                           std::span<const std::uint8_t> bits, const cplx& h,
+                           AwgnChannel& noise, std::vector<cplx>& y);
 
 // ---------------------------------------------------------------------
 // Interweave beam-pattern experiment (Fig. 8)

@@ -2,7 +2,9 @@
 // multipath, indoor links.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "comimo/channel/awgn.h"
@@ -120,6 +122,34 @@ TEST(AwgnChannel, ZeroVarianceIsTransparent) {
   const auto orig = s;
   awgn.apply(s);
   for (std::size_t i = 0; i < s.size(); ++i) EXPECT_EQ(s[i], orig[i]);
+}
+
+TEST(AwgnChannel, SkipThenSampleEqualsTheNextSample) {
+  // skip(k) then sample() must equal the (k+1)-th sample(), bit for
+  // bit, both for a fresh stream and for one handed over with a
+  // Gaussian spare pending.
+  for (const bool spare : {false, true}) {
+    Rng base(21, 3);
+    if (spare) (void)base.gaussian();
+    ASSERT_EQ(base.gaussian_spare_pending(), spare);
+    for (const std::size_t k : {0u, 1u, 2u, 3u, 7u, 100u}) {
+      AwgnChannel drawn(0.5, base);
+      AwgnChannel skipped(0.5, base);
+      for (std::size_t i = 0; i < k; ++i) (void)drawn.sample();
+      skipped.skip(k);
+      // Three samples on: the spare the skip leaves must be right too.
+      for (int i = 0; i < 3; ++i) {
+        const cplx a = drawn.sample();
+        const cplx b = skipped.sample();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.real()),
+                  std::bit_cast<std::uint64_t>(b.real()))
+            << "spare=" << spare << " k=" << k << " i=" << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.imag()),
+                  std::bit_cast<std::uint64_t>(b.imag()))
+            << "spare=" << spare << " k=" << k << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(AwgnChannel, AddReturnsNoisyCopy) {

@@ -116,6 +116,25 @@ TEST(GmskModem, ConfigValidation) {
   EXPECT_THROW(GmskModem{cfg}, InvalidArgument);
 }
 
+TEST(GmskModem, RejectsFirstDetectorWindowBeforeSampleZero) {
+  // Odd sps with a one-symbol span: bit 0's window would start at
+  // sample 1 + 1 − 3 < 0.
+  GmskConfig cfg;
+  cfg.samples_per_symbol = 3;
+  cfg.pulse_span_symbols = 1;
+  EXPECT_THROW(GmskModem{cfg}, InvalidArgument);
+}
+
+TEST(GmskModem, NoiseFreeRoundTripOddSamplesPerSymbol) {
+  GmskConfig cfg;
+  cfg.samples_per_symbol = 3;
+  cfg.pulse_span_symbols = 2;
+  const GmskModem modem(cfg);
+  const BitVec bits = random_bits(2000, 14);
+  const auto s = modem.modulate(bits);
+  EXPECT_EQ(count_bit_errors(bits, modem.demodulate(s, bits.size())), 0u);
+}
+
 TEST(GmskModem, NarrowerBtIncreasesIsi) {
   // BT = 0.2 spreads the pulse more than BT = 0.5; at moderate SNR the
   // tighter filter must not do better.

@@ -132,22 +132,45 @@ TEST(GoldenTables, Table3MultiRelayOverlay) {
 
 // --- Table 4: underlay image-transfer PER ----------------------------
 
-TEST(GoldenTables, Table4UnderlayPerAtFullAmplitude) {
-  // Paper @ amplitude 800: coop PER 0%, solo 24.85%.  (The full three-
-  // amplitude sweep lives in bench/table4_underlay_per; one amplitude
-  // keeps the test suite fast while still pinning the waveform chain.)
+// bench/table4_underlay_per's cell: seed 7, 474 packets.
+UnderlayPerResult table4_cell(double amplitude, bool cooperative) {
   UnderlayPerConfig cfg;
-  cfg.amplitude = 800.0;
+  cfg.amplitude = amplitude;
   cfg.seed = 7;
-  cfg.cooperative = true;
-  const UnderlayPerResult coop = run_underlay_per(cfg);
-  cfg.cooperative = false;
-  const UnderlayPerResult solo = run_underlay_per(cfg);
+  cfg.cooperative = cooperative;
+  return run_underlay_per(cfg);
+}
+
+TEST(GoldenTables, Table4UnderlayPerAtFullAmplitude) {
+  // Paper @ amplitude 800: coop PER 0%, solo 24.85%.
+  const UnderlayPerResult coop = table4_cell(800.0, true);
+  const UnderlayPerResult solo = table4_cell(800.0, false);
   EXPECT_DOUBLE_EQ(coop.per, 0.0) << "paper: error-free at amplitude 800";
   EXPECT_NEAR(solo.per, 0.2485, 0.05);
   EXPECT_TRUE(coop.reassembly.recoverable());
   // Golden regression (harvested from table4_underlay_per --json).
   expect_rel(solo.per, 0.2489451476793249, "solo PER @ 800");
+  EXPECT_EQ(coop.packets_sent, 474u);
+  EXPECT_EQ(coop.packets_lost, 0u);
+  EXPECT_EQ(solo.packets_lost, 118u);
+}
+
+TEST(GoldenTables, Table4UnderlayPerAtReducedAmplitudes) {
+  // Paper @ 600: coop 6.12%, solo 70.28%; @ 400: coop 13.72%, solo
+  // 97.1%.  Cooperation must beat the solo link at both.
+  const UnderlayPerResult coop600 = table4_cell(600.0, true);
+  const UnderlayPerResult solo600 = table4_cell(600.0, false);
+  const UnderlayPerResult coop400 = table4_cell(400.0, true);
+  const UnderlayPerResult solo400 = table4_cell(400.0, false);
+  EXPECT_LT(coop600.per, solo600.per);
+  EXPECT_LT(coop400.per, solo400.per);
+  EXPECT_NEAR(solo600.per, 0.7028, 0.05);
+  EXPECT_NEAR(solo400.per, 0.971, 0.05);
+  // Golden regression: packets lost out of 474 at seed 7.
+  EXPECT_EQ(coop600.packets_lost, 4u);
+  EXPECT_EQ(solo600.packets_lost, 312u);
+  EXPECT_EQ(coop400.packets_lost, 116u);
+  EXPECT_EQ(solo400.packets_lost, 465u);
 }
 
 // --- ē_b anchors (§6.2) ----------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "comimo/common/error.h"
@@ -62,6 +63,31 @@ TEST(ParallelForChunks, PartitionIsContiguous) {
     for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
   });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ParallelForChunks, ManyTinyCallsFromConcurrentCallersOnOneSmallPool) {
+  // Regression: the last worker of a call used to publish completion
+  // before locking the caller's stack-local mutex, so the caller could
+  // return and destroy it first.  Tiny calls from several callers on one
+  // pool hit that window often: ThreadSanitizer reported it on every
+  // run, while a plain build only crashed now and then.
+  ThreadPool pool(2);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCalls = 20000;
+  std::atomic<std::size_t> covered{0};
+  const auto body = [&covered](std::size_t begin, std::size_t end) {
+    covered.fetch_add(end - begin, std::memory_order_relaxed);
+  };
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (std::size_t i = 0; i < kCalls; ++i) {
+        parallel_for_chunks(pool, 2, 1, body);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(covered.load(), kCallers * kCalls * 2);
 }
 
 TEST(ThreadPool, CurrentIsNullOffWorkers) {

@@ -37,6 +37,24 @@ TEST(Rng, StreamsAreIndependent) {
   EXPECT_LT(same, 2);
 }
 
+TEST(Rng, DiscardEqualsThatManyNextCalls) {
+  for (const std::uint64_t n : {0u, 1u, 2u, 5u, 1000u}) {
+    Rng a(31, 4);
+    Rng b(31, 4);
+    for (std::uint64_t i = 0; i < n; ++i) (void)a.next();
+    b.discard(n);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(a.next(), b.next()) << "n=" << n;
+  }
+  // A pending Gaussian spare survives the discard untouched.
+  Rng a(32);
+  (void)a.gaussian();
+  Rng b = a;
+  ASSERT_TRUE(b.gaussian_spare_pending());
+  b.discard(9);
+  EXPECT_TRUE(b.gaussian_spare_pending());
+  EXPECT_EQ(a.gaussian(), b.gaussian());
+}
+
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(3);
   for (int i = 0; i < 10000; ++i) {
