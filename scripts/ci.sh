@@ -49,11 +49,13 @@ cmake -B "$NOSIMD_DIR" -S . \
   -DCOMIMO_BUILD_BENCH=OFF \
   -DCOMIMO_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "$NOSIMD_DIR" -j "$(nproc)"
-# The scalar-pinned build must hold the same golden tables, the batch
-# layer must degenerate cleanly to width 1, and the workspace and
-# waveform paths must be untouched.
+# The scalar-pinned build must hold the same golden tables (including
+# the measure_waveform_ber pins), the batch layer must degenerate
+# cleanly to width 1, the MC driver's width-1 path must keep every
+# McEngine invariance, and the workspace and waveform paths must be
+# untouched.
 ctest --test-dir "$NOSIMD_DIR" --output-on-failure \
-  -R 'Golden|Simd|AlignedAlloc|LinkWorkspace|HopBatch|Waveform|Galois|Rlnc|SpatialIndex|SpatialGrid|NetworkFuzz|AdaptiveMc|ImportanceSampling' \
+  -R 'Golden|Simd|AlignedAlloc|LinkWorkspace|HopBatch|Waveform|Galois|Rlnc|SpatialIndex|SpatialGrid|NetworkFuzz|AdaptiveMc|ImportanceSampling|McEngine' \
   -j "$(nproc)"
 
 echo "== workspace, simd batch + coding kernels under ASan + UBSan =="
@@ -72,14 +74,15 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # pointer-heavy paths where OOB would hide.  Service/ServiceWire drive
 # the daemon (sessions, backpressure, vanished clients) and ForkSafety
 # the quiesce-and-fork shard driver — the lifetime bugs this sweep
-# exists for surface as ASan/UBSan reports here.  AdaptiveMc and
-# ImportanceSampling cover the checkpoint driver's accumulator folding
-# and the tilted-noise weight path.  DetectorGrid drives the GMSK
-# detector-grid chain's index arithmetic against the full waveform, and
-# ParallelForChunks includes the many-callers stress test of the
-# pool's completion hand-off (a stack use-after-free when it was racy).
+# exists for surface as ASan/UBSan reports here.  McEngine, AdaptiveMc
+# and ImportanceSampling cover the MC driver's chunk executor, its
+# checkpoint folding and fork transport, and the tilted-noise weight
+# path.  DetectorGrid drives the GMSK detector-grid chain's index
+# arithmetic against the full waveform, and ParallelForChunks includes
+# the many-callers stress test of the pool's completion hand-off (a
+# stack use-after-free when it was racy).
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|DetectorGrid|ParallelForChunks' \
+  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks' \
   -j "$(nproc)"
 
 echo "== thread pool under ThreadSanitizer =="

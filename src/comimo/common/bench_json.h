@@ -116,8 +116,8 @@ class BenchReporter {
 /// output, `--threads <n>` runs the engine-backed sweeps on a private
 /// pool of that size (0 = the shared pool), `--trials <n>` lets scripts
 /// shrink trial-bound benches, `--shards <n>` fans the engine-backed
-/// sweeps across that many worker processes (mc/sharded.h —
-/// bit-identical to 1), `--obs` enables the observability layer
+/// sweeps across that many worker processes (McConfig::shards,
+/// mc/sharded.h — bit-identical to 1), `--obs` enables the observability layer
 /// (metrics embed in the JSON envelope), `--trace <path>` additionally
 /// arms span tracing with an exit-time Perfetto-loadable dump, and
 /// `--simd <mode>` (or `--simd=<mode>`) pins the batch-kernel dispatch

@@ -3,113 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "comimo/common/error.h"
 #include "comimo/numeric/special.h"
-#include "comimo/obs/metrics.h"
 
 namespace comimo {
 
 namespace {
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Checkpoint counts, trials executed/saved, and the achieved CI are all
-// pure functions of (seed, config) — deterministic domain, diffed across
-// thread counts by check_bench_json.sh.
-struct AdaptiveObs {
-  obs::Counter runs =
-      obs::MetricRegistry::global().counter("mc.adaptive.runs");
-  obs::Counter checkpoints =
-      obs::MetricRegistry::global().counter("mc.adaptive.checkpoints");
-  obs::Counter trials =
-      obs::MetricRegistry::global().counter("mc.adaptive.trials");
-  obs::Counter trials_saved =
-      obs::MetricRegistry::global().counter("mc.adaptive.trials_saved");
-  obs::Gauge rel_ci =
-      obs::MetricRegistry::global().gauge("mc.adaptive.rel_ci");
-};
-
-AdaptiveObs& adaptive_obs() {
-  static AdaptiveObs o;
-  return o;
-}
-
-using RoundFn = std::function<McResult(std::size_t, const McConfig&)>;
-
-/// The shared checkpoint loop.  `run_round` executes one chunk window of
-/// the budget's global partition (the window is already set on the
-/// config it receives) and must return per-chunk accumulators
-/// (collect_chunk_accs is forced on) so the driver can fold them in
-/// ascending global ordinal — the exact reduction sequence of the fixed
-/// run, which is what makes an exhausted-budget adaptive run
-/// bit-identical to run_trials(budget, ...).
-AdaptiveResult run_adaptive(std::size_t trials, const McConfig& config,
-                            const AdaptiveConfig& adaptive,
-                            const StopRule& rule, const RoundFn& run_round) {
-  COMIMO_CHECK(adaptive.target_rel_ci > 0.0,
-               "adaptive stopping requires target_rel_ci > 0");
-  COMIMO_CHECK(!rule.stat.empty(), "adaptive stopping requires a stop stat");
-  const std::size_t budget =
-      adaptive.max_trials > 0 ? adaptive.max_trials : trials;
-  const double z = confidence_z(adaptive.confidence);
-
-  AdaptiveResult out;
-  out.trials_budget = budget;
-  out.rel_ci = kInf;
-  out.mc.info.trials = 0;
-  if (budget == 0) return out;
-
-  const std::size_t chunk = resolve_chunk_size(budget, config.chunk_size);
-  const std::size_t chunks = (budget + chunk - 1) / chunk;
-  const std::size_t every =
-      resolve_checkpoint_every(chunks, adaptive.checkpoint_every);
-
-  std::size_t next = 0;
-  while (next < chunks) {
-    const std::size_t hi = std::min(chunks, next + every);
-    McConfig round = config;
-    round.chunk_window_begin = next;
-    round.chunk_window_end = hi;
-    round.collect_chunk_accs = true;
-    McResult r = run_round(budget, round);
-    // Fold the round's chunks in ascending global ordinal.  The rounds
-    // themselves arrive in ascending window order, so the overall fold
-    // is the fixed run's sequence exactly.
-    for (const auto& [ordinal, acc] : r.chunk_accs) {
-      (void)ordinal;
-      out.mc.acc.merge(acc);
-    }
-    out.trials_executed += std::min(budget, hi * chunk) - next * chunk;
-    out.mc.info.threads = r.info.threads;
-    out.mc.info.wall_s += r.info.wall_s;
-    next = hi;
-    ++out.checkpoints;
-    out.rel_ci = stop_rel_ci(out.mc.acc, rule, z, adaptive.min_events);
-    if (out.trials_executed >= adaptive.min_trials &&
-        out.rel_ci <= adaptive.target_rel_ci) {
-      out.target_met = true;
-      break;
-    }
-  }
-
-  out.mc.info.trials = out.trials_executed;
-  out.mc.info.chunks = next;
-  out.mc.info.trials_per_sec =
-      out.mc.info.wall_s > 0.0
-          ? static_cast<double>(out.trials_executed) / out.mc.info.wall_s
-          : 0.0;
-
-  AdaptiveObs& aobs = adaptive_obs();
-  aobs.runs.add();
-  aobs.checkpoints.add(out.checkpoints);
-  aobs.trials.add(out.trials_executed);
-  aobs.trials_saved.add(budget - out.trials_executed);
-  if (std::isfinite(out.rel_ci)) aobs.rel_ci.set(out.rel_ci);
-  return out;
-}
-
 }  // namespace
 
 double confidence_z(double confidence) {
@@ -143,32 +44,6 @@ double stop_rel_ci(const McAccumulator& acc, const StopRule& rule, double z,
   if (s.count() < 2 || s.mean() == 0.0) return kInf;
   const double rel = z * s.std_error() / std::abs(s.mean());
   return std::isfinite(rel) ? rel : kInf;
-}
-
-AdaptiveResult run_trials_adaptive(
-    std::size_t trials, const McConfig& config,
-    const AdaptiveConfig& adaptive, const StopRule& rule,
-    const ShardOptions& shard_options,
-    const std::function<void(std::size_t, Rng&, McAccumulator&)>& trial) {
-  return run_adaptive(
-      trials, config, adaptive, rule,
-      [&](std::size_t budget, const McConfig& round) {
-        return run_trials_sharded(budget, round, shard_options, trial);
-      });
-}
-
-AdaptiveResult run_trial_batches_adaptive(
-    std::size_t trials, const McConfig& config,
-    const AdaptiveConfig& adaptive, const StopRule& rule,
-    const ShardOptions& shard_options, std::size_t max_batch,
-    const std::function<void(std::size_t, std::size_t, Rng*, McAccumulator&)>&
-        batch) {
-  return run_adaptive(
-      trials, config, adaptive, rule,
-      [&](std::size_t budget, const McConfig& round) {
-        return run_trial_batches_sharded(budget, round, shard_options,
-                                         max_batch, batch);
-      });
 }
 
 }  // namespace comimo

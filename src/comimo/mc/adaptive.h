@@ -1,35 +1,16 @@
-// Precision-targeted Monte-Carlo: deterministic early stopping.
+// Precision-targeted Monte-Carlo: the stopping rules of run_mc.
 //
 // A fixed-trial sweep spends the same budget at every operating point,
 // so deep-waterfall points (BER ≲ 1e-5) burn millions of trials to
 // resolve a handful of bit errors while high-BER points finish in
-// milliseconds.  The adaptive driver instead runs the engine in
-// checkpoint rounds over the *global* chunk partition and stops as soon
-// as a named statistic's confidence interval hits a relative-width
-// target.
-//
-// The determinism contract extends run_trials' verbatim:
-//
-//   * the chunk partition is the one the full `max_trials` run would
-//     use — a pure function of (max_trials, chunk_size) — and each
-//     round executes a contiguous chunk-ordinal window of it
-//     (McConfig::chunk_window_begin/end), so every executed trial draws
-//     from the exact Rng(seed, trial) stream the fixed run would have
-//     used;
-//   * the stopping rule is evaluated ONLY at checkpoint boundaries —
-//     every `checkpoint_every` chunks, itself a pure function of the
-//     chunk count — on the fold of all chunks executed so far in
-//     ascending global ordinal.  The folded state at a boundary is
-//     thread-count and shard-count invariant (same algebra as the
-//     McAccumulator merge contract), hence so is the stop/continue
-//     decision, hence so is the executed chunk set;
-//   * the driver folds per-chunk accumulators (never pre-reduced round
-//     partials — the Welford merge is not associative bitwise) in
-//     ascending ordinal starting from an empty accumulator: the same
-//     reduction sequence as the fixed run.  A run that exhausts
-//     max_trials without meeting the target is therefore bit-identical
-//     to run_trials(max_trials, ...), and every run is bit-identical at
-//     any thread count and across fork sharding.
+// milliseconds.  Given a target (McStop, mc/engine.h) the driver
+// instead runs its chunk partition in checkpoint rounds and stops as
+// soon as a named statistic's confidence interval hits a relative-width
+// target.  This header holds what that decision reads: the target, the
+// rule, and the interval formulas.  The checkpoint schedule is a pure
+// function of the chunk count and the rule reads only the fold of the
+// chunks executed so far, so early stopping keeps the engine's
+// determinism contract (mc/engine.h).
 //
 // Rare-event tier: phy/ber_sweep.h layers importance sampling (scaled-
 // variance noise with per-trial likelihood weights) on top of this
@@ -37,9 +18,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
-#include "comimo/mc/sharded.h"
+#include "comimo/mc/accumulator.h"
 
 namespace comimo {
 
@@ -66,17 +48,11 @@ enum class IsMode {
 
 struct AdaptiveConfig {
   /// Stop when the stopping statistic's CI half-width divided by its
-  /// point estimate is ≤ this.  <= 0 disables adaptive stopping (callers
-  /// fall back to the fixed-trial path).
+  /// point estimate is ≤ this.  <= 0 disables adaptive stopping: the
+  /// driver runs the whole trial budget.
   double target_rel_ci = 0.0;
   /// Two-sided confidence level for the CI (z = q_inverse((1-c)/2)).
   double confidence = 0.95;
-  /// Never stop before this many trials have executed (0 = no floor).
-  std::size_t min_trials = 0;
-  /// Trial budget; 0 uses the sweep's own trial count.  The chunk
-  /// partition — and therefore every Rng stream — is derived from this
-  /// resolved budget, exactly as a fixed run of the same size would.
-  std::size_t max_trials = 0;
   /// A counter-rate stopping rule is not trusted below this many
   /// numerator events regardless of the CI formula (the normal
   /// approximation is garbage at a handful of events).
@@ -105,24 +81,6 @@ struct StopRule {
   std::string denominator;
 };
 
-struct AdaptiveResult {
-  /// Folded accumulator + aggregate run info.  info.trials/chunks are
-  /// the *executed* totals; wall_s sums the rounds.
-  McResult mc;
-  /// Trials the fixed run would have executed (the resolved budget).
-  std::size_t trials_budget = 0;
-  /// Trials actually executed (== trials_budget when the target was
-  /// never met).
-  std::size_t trials_executed = 0;
-  /// Checkpoint evaluations performed.
-  std::size_t checkpoints = 0;
-  /// True when the CI target stopped the run before the budget ran out.
-  bool target_met = false;
-  /// Relative CI half-width of the stopping statistic at the final
-  /// checkpoint (+inf while the statistic is not yet estimable).
-  double rel_ci = 0.0;
-};
-
 /// z-value of the two-sided interval at the given confidence (0.95 →
 /// 1.9599...).
 [[nodiscard]] double confidence_z(double confidence);
@@ -143,24 +101,5 @@ struct AdaptiveResult {
 [[nodiscard]] double stop_rel_ci(const McAccumulator& acc,
                                  const StopRule& rule, double z,
                                  std::size_t min_events);
-
-/// run_trials in checkpoint rounds with deterministic early stopping.
-/// `trials` is the budget unless config overrides it via max_trials.
-/// shard_options.shards > 1 forks each round across worker processes
-/// (mc/sharded.h) — the result is bit-identical for every shard count
-/// and thread count.  Requires adaptive.target_rel_ci > 0.
-[[nodiscard]] AdaptiveResult run_trials_adaptive(
-    std::size_t trials, const McConfig& config,
-    const AdaptiveConfig& adaptive, const StopRule& rule,
-    const ShardOptions& shard_options,
-    const std::function<void(std::size_t, Rng&, McAccumulator&)>& trial);
-
-/// run_trial_batches in checkpoint rounds; same contract.
-[[nodiscard]] AdaptiveResult run_trial_batches_adaptive(
-    std::size_t trials, const McConfig& config,
-    const AdaptiveConfig& adaptive, const StopRule& rule,
-    const ShardOptions& shard_options, std::size_t max_batch,
-    const std::function<void(std::size_t, std::size_t, Rng*, McAccumulator&)>&
-        batch);
 
 }  // namespace comimo

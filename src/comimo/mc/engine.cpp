@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "comimo/common/error.h"
+#include "comimo/mc/sharded.h"
 #include "comimo/obs/trace.h"
 
 namespace comimo {
@@ -12,12 +15,14 @@ namespace comimo {
 namespace {
 
 // Engine-level observability (cold registration, hot no-op when
-// disabled).  Trial/chunk totals are pure functions of (trials,
-// chunk_size) — deterministic domain; timing is not.
+// disabled).  Run, trial, chunk and checkpoint totals are pure
+// functions of (seed, config) — deterministic domain; timing is not.
 struct EngineObs {
   obs::Counter trials = obs::MetricRegistry::global().counter("mc.trials");
   obs::Counter chunks = obs::MetricRegistry::global().counter("mc.chunks");
   obs::Counter runs = obs::MetricRegistry::global().counter("mc.runs");
+  obs::Gauge shard_count =
+      obs::MetricRegistry::global().gauge("mc.shard_count");
   obs::Histogram chunk_wall_s = obs::MetricRegistry::global().histogram(
       "mc.chunk_wall_s", obs::Domain::kRuntime);
   obs::Gauge trials_per_sec = obs::MetricRegistry::global().gauge(
@@ -29,35 +34,60 @@ EngineObs& engine_obs() {
   return o;
 }
 
-/// The contiguous global-chunk range [lo, hi) this run executes, plus
-/// the trial count inside it.  shard_count == 1 degenerates to the full
-/// range, so the unsharded path is bit-for-bit the historical one.
-struct ShardRange {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  std::size_t executed_trials = 0;
+// Registered on the first run with a stop rule, so runs without one
+// export no mc.adaptive.* entries.
+struct AdaptiveObs {
+  obs::Counter runs =
+      obs::MetricRegistry::global().counter("mc.adaptive.runs");
+  obs::Counter checkpoints =
+      obs::MetricRegistry::global().counter("mc.adaptive.checkpoints");
+  obs::Counter trials =
+      obs::MetricRegistry::global().counter("mc.adaptive.trials");
+  obs::Counter trials_saved =
+      obs::MetricRegistry::global().counter("mc.adaptive.trials_saved");
+  obs::Gauge rel_ci =
+      obs::MetricRegistry::global().gauge("mc.adaptive.rel_ci");
 };
 
-ShardRange resolve_shard_range(const McConfig& config, std::size_t trials,
-                               std::size_t chunk, std::size_t chunks) {
-  COMIMO_CHECK(config.shard_count >= 1, "shard_count must be >= 1");
-  COMIMO_CHECK(config.shard_index < config.shard_count,
-               "shard_index must be < shard_count");
-  COMIMO_CHECK(config.chunk_window_begin <= config.chunk_window_end,
-               "chunk window must be a valid range");
-  // The execution window over the global partition (default: all of
-  // it), then this shard's slice of the window.  Both are pure
-  // functions of the config — never of the executing pool.
-  const std::size_t win_lo = std::min(config.chunk_window_begin, chunks);
-  const std::size_t win_hi = std::min(config.chunk_window_end, chunks);
-  const std::size_t win_n = win_hi - win_lo;
-  ShardRange r;
-  r.lo = win_lo + win_n * config.shard_index / config.shard_count;
-  r.hi = win_lo + win_n * (config.shard_index + 1) / config.shard_count;
-  if (r.hi > r.lo) {
-    r.executed_trials = std::min(trials, r.hi * chunk) - r.lo * chunk;
-  }
-  return r;
+AdaptiveObs& adaptive_obs() {
+  static AdaptiveObs o;
+  return o;
+}
+
+/// The chunk executor: runs chunks [lo, hi) of the partition of
+/// [0, trials) into `chunk`-trial chunks on `pool`, handing `batch` up
+/// to `width` consecutive trials at a time, and returns one accumulator
+/// per chunk in ascending ordinal.
+std::vector<McAccumulator> run_chunks(std::size_t trials, std::size_t chunk,
+                                      std::uint64_t seed, std::size_t width,
+                                      const McBatchFn& batch, std::size_t lo,
+                                      std::size_t hi, ThreadPool& pool) {
+  std::vector<McAccumulator> accs(hi - lo);
+  const obs::Histogram& chunk_wall_s = engine_obs().chunk_wall_s;
+  parallel_for(pool, hi - lo, [&](std::size_t idx) {
+    // Chunk-ordinal shard scope (global ordinal, even under process
+    // sharding): deterministic metrics the trial code observes (per-hop
+    // BER, retries, backoff) merge in chunk order — the same discipline
+    // as the McAccumulator fold — so the exported aggregates are
+    // worker-count invariant.
+    const std::size_t c = lo + idx;
+    const obs::ObsShard shard(c);
+    const obs::SpanTimer span("mc.chunk", chunk_wall_s);
+    const std::size_t end = std::min(trials, (c + 1) * chunk);
+    // One generator per trial, materialized per group; Rng has no
+    // default constructor, so the group's streams live in a vector
+    // whose capacity is reused across groups (one allocation per chunk,
+    // outside any per-block zero-alloc window).
+    std::vector<Rng> rngs;
+    rngs.reserve(width);
+    for (std::size_t t = c * chunk; t < end; t += width) {
+      const std::size_t count = std::min(width, end - t);
+      rngs.clear();
+      for (std::size_t i = 0; i < count; ++i) rngs.emplace_back(seed, t + i);
+      batch(t, count, rngs.data(), accs[idx]);
+    }
+  });
+  return accs;
 }
 
 }  // namespace
@@ -65,140 +95,99 @@ ShardRange resolve_shard_range(const McConfig& config, std::size_t trials,
 std::size_t resolve_chunk_size(std::size_t trials,
                                std::size_t chunk_size) noexcept {
   if (chunk_size > 0) return chunk_size;
-  // At most 1024 shards: enough parallel slack for any realistic core
-  // count while keeping the merge chain short.  Depends only on the
+  // At most 1024 chunks: enough parallel slack for any realistic core
+  // count while keeping the fold chain short.  Depends only on the
   // trial count, never on the executing pool.
   return std::max<std::size_t>(1, (trials + 1023) / 1024);
+}
+
+McResult run_mc(std::size_t trials, const McConfig& config,
+                const McBatchFn& batch, const McStop& stop) {
+  COMIMO_CHECK(batch != nullptr, "null batch function");
+  COMIMO_CHECK(config.shards >= 1, "need at least one shard");
+  const bool adaptive = stop.adaptive.target_rel_ci > 0.0;
+  COMIMO_CHECK(!adaptive || !stop.rule.stat.empty(),
+               "adaptive stopping requires a stop stat");
+  const double z = adaptive ? confidence_z(stop.adaptive.confidence) : 0.0;
+  const std::size_t width = std::clamp<std::size_t>(config.batch_width, 1, 8);
+  // Resolved up front: this may instantiate the shared pool, which must
+  // happen in the parent before any fork.
+  ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
+
+  McResult out;
+  out.info.threads = pool.size();
+  if (adaptive) out.rel_ci = std::numeric_limits<double>::infinity();
+  if (trials == 0) return out;
+  EngineObs& eobs = engine_obs();
+  eobs.runs.add();
+  eobs.shard_count.set(static_cast<double>(config.shards));
+
+  const std::size_t chunk = resolve_chunk_size(trials, config.chunk_size);
+  const std::size_t chunks = (trials + chunk - 1) / chunk;
+  // Without a stop rule the whole partition is one round.
+  const std::size_t every =
+      adaptive
+          ? resolve_checkpoint_every(chunks, stop.adaptive.checkpoint_every)
+          : chunks;
+  const detail::ChunkRunner run_range = [&](std::size_t lo, std::size_t hi,
+                                            ThreadPool& on) {
+    return run_chunks(trials, chunk, config.seed, width, batch, lo, hi, on);
+  };
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t next = 0;
+  while (next < chunks) {
+    const std::size_t hi = std::min(chunks, next + every);
+    // Rounds arrive in ascending window order and each round's chunks
+    // in ascending ordinal, so the fold is the same sequence at every
+    // thread count, shard count and checkpoint schedule.
+    const std::vector<McAccumulator> accs =
+        config.shards > 1 ? detail::run_sharded(next, hi, config.shards,
+                                                config.fork, pool, run_range)
+                          : run_range(next, hi, pool);
+    for (const McAccumulator& acc : accs) out.acc.merge(acc);
+    next = hi;
+    if (!adaptive) continue;
+    ++out.checkpoints;
+    out.rel_ci =
+        stop_rel_ci(out.acc, stop.rule, z, stop.adaptive.min_events);
+    if (out.rel_ci <= stop.adaptive.target_rel_ci) {
+      out.target_met = true;
+      break;
+    }
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+
+  out.info.chunks = next;
+  out.info.trials = std::min(trials, next * chunk);
+  out.info.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  out.info.trials_per_sec =
+      out.info.wall_s > 0.0
+          ? static_cast<double>(out.info.trials) / out.info.wall_s
+          : 0.0;
+  eobs.trials.add(out.info.trials);
+  eobs.chunks.add(out.info.chunks);
+  eobs.trials_per_sec.set(out.info.trials_per_sec);
+  if (adaptive) {
+    AdaptiveObs& aobs = adaptive_obs();
+    aobs.runs.add();
+    aobs.checkpoints.add(out.checkpoints);
+    aobs.trials.add(out.info.trials);
+    aobs.trials_saved.add(trials - out.info.trials);
+    if (std::isfinite(out.rel_ci)) aobs.rel_ci.set(out.rel_ci);
+  }
+  return out;
 }
 
 McResult run_trials(
     std::size_t trials, const McConfig& config,
     const std::function<void(std::size_t, Rng&, McAccumulator&)>& trial) {
   COMIMO_CHECK(trial != nullptr, "null trial function");
-  ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
-
-  McResult result;
-  result.info.trials = trials;
-  result.info.threads = pool.size();
-  if (trials == 0) return result;
-
-  const std::size_t chunk = resolve_chunk_size(trials, config.chunk_size);
-  const std::size_t chunks = (trials + chunk - 1) / chunk;
-  result.info.chunks = chunks;
-  const ShardRange range = resolve_shard_range(config, trials, chunk, chunks);
-  const std::size_t n_exec = range.hi - range.lo;
-
-  EngineObs& eobs = engine_obs();
-  eobs.runs.add();
-  eobs.trials.add(range.executed_trials);
-  eobs.chunks.add(n_exec);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<McAccumulator> shards(n_exec);
-  parallel_for(pool, n_exec, [&](std::size_t idx) {
-    // Chunk-ordinal shard scope (global ordinal, even under process
-    // sharding): deterministic metrics the trial code observes (per-hop
-    // BER, retries, backoff) merge in chunk order — the same discipline
-    // as the McAccumulator reduction below — so the exported aggregates
-    // are worker-count invariant.
-    const std::size_t c = range.lo + idx;
-    const obs::ObsShard shard(c);
-    const obs::SpanTimer span("mc.chunk", eobs.chunk_wall_s);
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(trials, begin + chunk);
-    McAccumulator& acc = shards[idx];
-    for (std::size_t t = begin; t < end; ++t) {
-      Rng rng(config.seed, t);
-      trial(t, rng, acc);
-    }
-  });
-  // Merge in ascending shard order — the reduction order is part of the
-  // determinism contract.
-  for (std::size_t idx = 0; idx < n_exec; ++idx) {
-    result.acc.merge(shards[idx]);
-  }
-  if (config.collect_chunk_accs) {
-    result.chunk_accs.reserve(n_exec);
-    for (std::size_t idx = 0; idx < n_exec; ++idx) {
-      result.chunk_accs.emplace_back(range.lo + idx, std::move(shards[idx]));
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  result.info.wall_s =
-      std::chrono::duration<double>(t1 - t0).count();
-  result.info.trials_per_sec =
-      result.info.wall_s > 0.0
-          ? static_cast<double>(range.executed_trials) / result.info.wall_s
-          : 0.0;
-  eobs.trials_per_sec.set(result.info.trials_per_sec);
-  return result;
-}
-
-McResult run_trial_batches(
-    std::size_t trials, const McConfig& config, std::size_t max_batch,
-    const std::function<void(std::size_t, std::size_t, Rng*, McAccumulator&)>&
-        batch) {
-  COMIMO_CHECK(batch != nullptr, "null batch function");
-  max_batch = std::clamp<std::size_t>(max_batch, 1, 8);
-  ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
-
-  McResult result;
-  result.info.trials = trials;
-  result.info.threads = pool.size();
-  if (trials == 0) return result;
-
-  const std::size_t chunk = resolve_chunk_size(trials, config.chunk_size);
-  const std::size_t chunks = (trials + chunk - 1) / chunk;
-  result.info.chunks = chunks;
-  const ShardRange range = resolve_shard_range(config, trials, chunk, chunks);
-  const std::size_t n_exec = range.hi - range.lo;
-
-  EngineObs& eobs = engine_obs();
-  eobs.runs.add();
-  eobs.trials.add(range.executed_trials);
-  eobs.chunks.add(n_exec);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<McAccumulator> shards(n_exec);
-  parallel_for(pool, n_exec, [&](std::size_t idx) {
-    const std::size_t c = range.lo + idx;
-    const obs::ObsShard shard(c);
-    const obs::SpanTimer span("mc.chunk", eobs.chunk_wall_s);
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(trials, begin + chunk);
-    McAccumulator& acc = shards[idx];
-    // One generator per trial, materialized per group; Rng has no
-    // default constructor, so the group's streams live in a vector
-    // whose capacity is reused across groups (one allocation per chunk,
-    // outside any per-block zero-alloc window).
-    std::vector<Rng> rngs;
-    rngs.reserve(max_batch);
-    for (std::size_t t = begin; t < end; t += max_batch) {
-      const std::size_t count = std::min(max_batch, end - t);
-      rngs.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        rngs.emplace_back(config.seed, t + i);
-      }
-      batch(t, count, rngs.data(), acc);
-    }
-  });
-  for (std::size_t idx = 0; idx < n_exec; ++idx) {
-    result.acc.merge(shards[idx]);
-  }
-  if (config.collect_chunk_accs) {
-    result.chunk_accs.reserve(n_exec);
-    for (std::size_t idx = 0; idx < n_exec; ++idx) {
-      result.chunk_accs.emplace_back(range.lo + idx, std::move(shards[idx]));
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  result.info.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  result.info.trials_per_sec =
-      result.info.wall_s > 0.0
-          ? static_cast<double>(range.executed_trials) / result.info.wall_s
-          : 0.0;
-  eobs.trials_per_sec.set(result.info.trials_per_sec);
-  return result;
+  McConfig scalar = config;
+  scalar.batch_width = 1;
+  return run_mc(trials, scalar,
+                [&trial](std::size_t t, std::size_t, Rng* rng,
+                         McAccumulator& acc) { trial(t, *rng, acc); });
 }
 
 }  // namespace comimo

@@ -1,17 +1,32 @@
-// The Monte-Carlo sweep engine.
+// The Monte-Carlo sweep engine: one driver, run_mc.
 //
-// run_trials shards [0, trials) into fixed-size chunks, executes the
-// chunks across a ThreadPool, and merges one McAccumulator per chunk in
+// run_mc partitions [0, trials) into fixed-size chunks, executes the
+// chunks across a ThreadPool in groups of up to McConfig::batch_width
+// consecutive trials, and folds one McAccumulator per chunk in
 // ascending chunk order.  The determinism contract:
 //
 //   * every trial derives all of its randomness from Rng(seed, trial) —
 //     a counter-based stream, never a shared generator — so a trial's
 //     result is a pure function of (seed, trial index);
 //   * the chunk partition depends only on (trials, chunk_size), never on
-//     the worker count, and chunk accumulators merge in chunk order;
-//   * therefore the merged accumulator is bit-identical on 1 or N
-//     threads, for any pool, for any scheduling — asserted by
-//     tests/test_mc_engine.cpp.
+//     the worker count, the batch width, the shard count or the stop
+//     rule, and chunk accumulators fold in ascending chunk ordinal;
+//   * therefore the folded accumulator is bit-identical on 1 or N
+//     threads, in 1 or K processes, for any pool and any scheduling —
+//     asserted by tests/test_mc_engine.cpp.
+//
+// The driver runs the partition in checkpoint rounds.  Without a stop
+// rule there is one round covering every chunk.  With one (McStop,
+// mc/adaptive.h) each round is a window of `checkpoint_every` chunks
+// and the rule is evaluated only on the fold of every chunk executed so
+// far, at window boundaries — a pure function of (seed, config), so the
+// stop decision, and with it the executed chunk set, is thread- and
+// shard-count invariant.  Folding per-chunk accumulators (never round
+// partials: the Welford merge is not bitwise associative) from an empty
+// accumulator makes a run that exhausts its budget bit-identical to the
+// run without a stop rule.  With McConfig::shards > 1 each round is
+// split into contiguous slices executed by forked worker processes
+// (mc/sharded.h), whose per-chunk accumulators fold in the same order.
 //
 // A trial that needs several independent streams splits its Rng by
 // drawing sub-seeds (rng.next()) or by constructing Rng(sub_seed, tag)
@@ -20,94 +35,94 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "comimo/common/parallel.h"
 #include "comimo/mc/accumulator.h"
+#include "comimo/mc/adaptive.h"
 #include "comimo/numeric/rng.h"
 
 namespace comimo {
 
 struct McConfig {
   std::uint64_t seed = 1;
-  /// Trials per shard; 0 picks ceil(trials / 1024) (at most 1024 shards)
-  /// — a function of the trial count only, never of the worker count.
-  /// Changing chunk_size regroups the Welford reduction and may move
-  /// merged moments by an ulp; counters are exact for every chunking.
+  /// Trials per chunk; 0 picks ceil(trials / 1024) (at most 1024
+  /// chunks) — a function of the trial count only, never of the worker
+  /// count.  Changing chunk_size regroups the Welford reduction and may
+  /// move folded moments by an ulp; counters are exact for every
+  /// chunking.
   std::size_t chunk_size = 0;
   /// Pool to execute on; nullptr = ThreadPool::shared().
   ThreadPool* pool = nullptr;
-  /// Multi-process sharding (mc/sharded.h): this run executes only the
-  /// contiguous chunk range [chunks·i/n, chunks·(i+1)/n) for shard
-  /// i = shard_index of n = shard_count.  The chunk partition itself is
-  /// global — a pure function of (trials, chunk_size) — so the union of
-  /// every shard's per-chunk accumulators, folded in ascending global
-  /// chunk ordinal, is bit-identical to the unsharded run.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  /// Chunk-ordinal execution window [chunk_window_begin,
-  /// chunk_window_end) over the *global* chunk partition (clamped to
-  /// [0, chunks]).  The partition itself never moves — a windowed run
-  /// executes exactly the chunks the full run would have executed at
-  /// those ordinals, with the same Rng(seed, trial) streams, so folding
-  /// consecutive windows in ascending ordinal reproduces the full run
-  /// bit for bit.  This is the primitive mc/adaptive.h builds its
-  /// checkpoint rounds on.  Sharding splits the window, not the full
-  /// range: shard i of n executes [lo + n_win·i/n, lo + n_win·(i+1)/n).
-  std::size_t chunk_window_begin = 0;
-  std::size_t chunk_window_end = kAllChunks;
-  /// When true, McResult::chunk_accs records every executed chunk's
-  /// pre-merge accumulator keyed by global chunk ordinal — the transport
-  /// the sharding driver folds across processes.
-  bool collect_chunk_accs = false;
-
-  static constexpr std::size_t kAllChunks = ~static_cast<std::size_t>(0);
+  /// Trials per batch-function call, clamped to [1, 8].  Groups never
+  /// straddle a chunk boundary, so a chunk's trailing group may be
+  /// narrower.  The grouping is a pure function of the chunk bounds and
+  /// the width, so a batch function whose per-trial results match the
+  /// scalar trial's gives the width-1 run's bits at every width.
+  std::size_t batch_width = 1;
+  /// Worker processes each round is split across (mc/sharded.h): shard
+  /// s of K executes the slice [lo + n·s/K, lo + n·(s+1)/K) of the
+  /// round's n-chunk window [lo, lo + n).  1 runs in this process.
+  std::size_t shards = 1;
+  /// Fork one worker process per shard (POSIX).  false — or a platform
+  /// without fork — executes the slices one after another in this
+  /// process; the folded result is bit-identical either way.
+  bool fork = true;
 };
 
 struct McRunInfo {
-  std::size_t trials = 0;
-  std::size_t chunks = 0;
+  std::size_t trials = 0;  ///< trials executed
+  std::size_t chunks = 0;  ///< chunks executed
   unsigned threads = 0;
   double wall_s = 0.0;
   double trials_per_sec = 0.0;
 };
 
 struct McResult {
+  /// Fold of every executed chunk's accumulator, in ascending ordinal.
   McAccumulator acc;
   McRunInfo info;
-  /// Executed (global chunk ordinal, accumulator) pairs in ascending
-  /// ordinal order; empty unless McConfig::collect_chunk_accs.
-  std::vector<std::pair<std::size_t, McAccumulator>> chunk_accs;
+  /// Stop-rule evaluations performed (0 without a stop rule).
+  std::size_t checkpoints = 0;
+  /// True when the stop rule ended the run before the budget ran out.
+  bool target_met = false;
+  /// Relative CI half-width of the stop rule at the last checkpoint
+  /// (+inf while not estimable; 0 without a stop rule).
+  double rel_ci = 0.0;
 };
 
-/// Runs `trial(trial_index, rng, acc)` for every index in [0, trials)
-/// and returns the order-independent reduction.  `trial` must be safe to
-/// call concurrently for distinct indices and must draw randomness only
-/// from the provided Rng (stream = trial index of `config.seed`).
+/// Optional precision target for run_mc.  adaptive.target_rel_ci <= 0
+/// (the default) runs the whole budget; otherwise the run stops at the
+/// first checkpoint whose `rule` CI meets the target.  The importance-
+/// sampling fields of AdaptiveConfig are the batch function's business
+/// (phy/ber_sweep.h) and are ignored here.
+struct McStop {
+  AdaptiveConfig adaptive;
+  StopRule rule;
+};
+
+/// `batch(first_trial, count, rngs, acc)` runs trials [first_trial,
+/// first_trial + count); rngs[i] is the stream Rng(seed, first_trial +
+/// i).  It must be safe to call concurrently for disjoint trial ranges
+/// and must draw randomness only from those streams.
+using McBatchFn =
+    std::function<void(std::size_t, std::size_t, Rng*, McAccumulator&)>;
+
+/// The driver: runs up to `trials` trials through `batch` and returns
+/// the folded accumulator with the run's record.  Throws
+/// ShardWorkerError (mc/sharded.h) when a forked worker fails.
+[[nodiscard]] McResult run_mc(std::size_t trials, const McConfig& config,
+                              const McBatchFn& batch,
+                              const McStop& stop = {});
+
+/// run_mc at batch width 1: `trial(trial_index, rng, acc)` runs every
+/// index in [0, trials) on its stream Rng(config.seed, trial_index).
 [[nodiscard]] McResult run_trials(
     std::size_t trials, const McConfig& config,
     const std::function<void(std::size_t, Rng&, McAccumulator&)>& trial);
 
-/// The chunk partition run_trials uses: resolved shard size for a given
+/// The chunk partition run_mc uses: resolved chunk size for a given
 /// trial count (exposed so tests can cross-check the contract).
 [[nodiscard]] std::size_t resolve_chunk_size(std::size_t trials,
                                              std::size_t chunk_size) noexcept;
-
-/// Batched variant for SIMD trial kernels: consecutive trials within a
-/// chunk are grouped up to `max_batch` wide and handed to
-/// `batch(first_trial, count, rngs, acc)` with one Rng per trial
-/// (rngs[i] streams trial first_trial + i).  The grouping is a pure
-/// function of the chunk bounds and max_batch — never of the worker
-/// count — and groups never straddle a chunk boundary, so the
-/// determinism contract of run_trials carries over verbatim: a batch
-/// whose per-trial results match the scalar trial's makes the merged
-/// accumulator bit-identical to run_trials on 1 or N threads.
-/// max_batch is clamped to [1, 8]; the trailing group of a chunk may be
-/// narrower than max_batch (the tail the batch kernel handles).
-[[nodiscard]] McResult run_trial_batches(
-    std::size_t trials, const McConfig& config, std::size_t max_batch,
-    const std::function<void(std::size_t, std::size_t, Rng*, McAccumulator&)>&
-        batch);
 
 }  // namespace comimo

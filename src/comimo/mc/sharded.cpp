@@ -1,7 +1,6 @@
 #include "comimo/mc/sharded.h"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -20,26 +19,9 @@
 #define COMIMO_HAS_FORK 0
 #endif
 
-namespace comimo {
+namespace comimo::detail {
 
 namespace {
-
-// Pure function of the run configuration — deterministic domain, like
-// simd.active_tier.
-obs::Gauge& shard_count_gauge() {
-  static obs::Gauge g =
-      obs::MetricRegistry::global().gauge("mc.shard_count");
-  return g;
-}
-
-McConfig shard_config(const McConfig& config, std::size_t index,
-                      std::size_t shards) {
-  McConfig c = config;
-  c.shard_index = index;
-  c.shard_count = shards;
-  c.collect_chunk_accs = true;
-  return c;
-}
 
 #if COMIMO_HAS_FORK
 
@@ -92,50 +74,26 @@ std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t& pos) {
 
 #endif  // COMIMO_HAS_FORK
 
-using RunFn = std::function<McResult(const McConfig&)>;
+}  // namespace
 
-/// The shared driver: runs shard s's chunk range via `run_one` (one
-/// worker process per shard when forking), gathers every executed
-/// (global chunk ordinal, accumulator) pair, and folds them in
-/// ascending ordinal — the exact reduction sequence of the unsharded
-/// engine, hence bit-identical output.
-McResult run_sharded(std::size_t trials, const McConfig& config,
-                     const ShardOptions& options, const RunFn& run_one) {
-  COMIMO_CHECK(options.shards >= 1, "need at least one shard");
-  shard_count_gauge().set(static_cast<double>(options.shards));
-  if (options.shards == 1) return run_one(config);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  McResult out;
-  out.info.trials = trials;
-  if (trials > 0) {
-    const std::size_t chunk = resolve_chunk_size(trials, config.chunk_size);
-    out.info.chunks = (trials + chunk - 1) / chunk;
-  }
-
-  // Contiguous shard ranges visited in shard order arrive already
-  // sorted by global chunk ordinal.
-  std::vector<std::pair<std::size_t, McAccumulator>> chunk_accs;
-
-  bool forked = false;
+std::vector<McAccumulator> run_sharded(std::size_t lo, std::size_t hi,
+                                       std::size_t shards, bool fork,
+                                       ThreadPool& pool,
+                                       const ChunkRunner& run) {
+  const std::size_t n = hi - lo;
+  const auto slice_lo = [&](std::size_t s) { return lo + n * s / shards; };
+  // Contiguous slices visited in shard order arrive already sorted by
+  // global chunk ordinal.
+  std::vector<McAccumulator> accs;
+  accs.reserve(n);
 #if COMIMO_HAS_FORK
-  if (options.fork) {
-    forked = true;
-    // The parent pool's worker threads do not survive fork; children
-    // run their chunk range inline (see below).  Resolve the parent
-    // size up front for the report envelope (this may instantiate the
-    // shared pool — in the parent, before any fork).
-    ThreadPool& parent_pool =
-        config.pool ? *config.pool : ThreadPool::shared();
-    const unsigned pool_threads = parent_pool.size();
-    out.info.threads = pool_threads;
-
+  if (fork) {
     struct Worker {
       pid_t pid = -1;
       int read_fd = -1;
     };
     std::vector<Worker> workers;
-    workers.reserve(options.shards);
+    workers.reserve(shards);
 
     // Reap-everything cleanup for a failed spawn loop: no zombies, no
     // leaked pipe fds, regardless of where pipe()/fork() failed.
@@ -159,14 +117,13 @@ McResult run_sharded(std::size_t trials, const McConfig& config,
       // registry (registry mutex + every gauge cell) across the whole
       // fork loop.  Any of those mutexes held by a *live parent thread*
       // at fork() would be locked forever in the child — the child's
-      // first obs gauge set or histogram fold in run_one would
-      // deadlock.  Holding them ourselves puts them in a known state
-      // the child releases explicitly below.
-      std::unique_lock<std::mutex> pool_lock =
-          parent_pool.quiesce_for_fork();
+      // first obs gauge set or histogram fold would deadlock.  Holding
+      // them ourselves puts them in a known state the child releases
+      // explicitly below.
+      std::unique_lock<std::mutex> pool_lock = pool.quiesce_for_fork();
       obs::MetricRegistry::ForkGuard obs_guard(
           obs::MetricRegistry::global());
-      for (std::size_t s = 0; s < options.shards; ++s) {
+      for (std::size_t s = 0; s < shards; ++s) {
         int fds[2];
         if (::pipe(fds) != 0) {
           kill_and_reap_all();
@@ -189,28 +146,28 @@ McResult run_sharded(std::size_t trials, const McConfig& config,
           pool_lock.unlock();
           obs_guard.unlock_in_child();
           ::signal(SIGPIPE, SIG_IGN);
-          // Run this shard's chunk range and ship the per-chunk
-          // accumulators back.  _exit skips static destructors — the
-          // parent owns the process state.
+          // Run this shard's slice and ship the per-chunk accumulators
+          // back.  _exit skips static destructors — the parent owns
+          // the process state.
           ::close(fds[0]);
           int status = 0;
           try {
-            McConfig child = shard_config(config, s, options.shards);
             // Never create threads after fork(): a parent thread can
             // hold a runtime-internal lock (allocator, sanitizer thread
             // registry) at the fork instant, and a child pthread_create
             // deadlocks on the inherited copy.  The inline pool runs
-            // the shard's chunks serially on this (only) thread — the
+            // the slice's chunks serially on this (only) thread — the
             // chunk partition and fold order are pool-size invariant,
             // so the bits cannot change.
             ThreadPool child_pool{ThreadPool::Inline{}};
-            child.pool = &child_pool;
-            const McResult r = run_one(child);
+            const std::size_t first = slice_lo(s);
+            const std::vector<McAccumulator> part =
+                run(first, slice_lo(s + 1), child_pool);
             std::vector<std::uint8_t> buf;
-            put_u64(buf, r.chunk_accs.size());
-            for (const auto& [ordinal, acc] : r.chunk_accs) {
-              put_u64(buf, ordinal);
-              acc.serialize(buf);
+            put_u64(buf, part.size());
+            for (std::size_t c = 0; c < part.size(); ++c) {
+              put_u64(buf, first + c);
+              part[c].serialize(buf);
             }
             write_all(fds[1], buf.data(), buf.size());
           } catch (...) {
@@ -257,20 +214,23 @@ McResult run_sharded(std::size_t trials, const McConfig& config,
         worker_failure = "pipe read failed";
       } else {
         try {
+          // The image must hold exactly this worker's slice, in
+          // ascending ordinal: no gap, no overlap with its neighbours.
+          const std::size_t first = slice_lo(i);
+          const std::size_t count = slice_lo(i + 1) - first;
           std::size_t pos = 0;
-          const std::uint64_t n_chunks = get_u64(bufs[i], pos);
-          std::vector<std::pair<std::size_t, McAccumulator>> parsed;
-          for (std::uint64_t c = 0; c < n_chunks; ++c) {
-            const std::size_t ordinal =
-                static_cast<std::size_t>(get_u64(bufs[i], pos));
-            parsed.emplace_back(ordinal,
-                                McAccumulator::deserialize(bufs[i], pos));
+          COMIMO_CHECK(get_u64(bufs[i], pos) == count,
+                       "chunk count differs from the worker's slice");
+          std::vector<McAccumulator> parsed;
+          parsed.reserve(count);
+          for (std::size_t c = 0; c < count; ++c) {
+            COMIMO_CHECK(get_u64(bufs[i], pos) == first + c,
+                         "chunk ordinal outside the worker's slice");
+            parsed.push_back(McAccumulator::deserialize(bufs[i], pos));
           }
           COMIMO_CHECK(pos == bufs[i].size(),
                        "trailing bytes in shard wire image");
-          for (auto& entry : parsed) {
-            chunk_accs.push_back(std::move(entry));
-          }
+          for (McAccumulator& acc : parsed) accs.push_back(std::move(acc));
         } catch (const std::exception& e) {
           // A worker that died mid-write (or wrote garbage) produces a
           // truncated image; that is a worker failure, not a
@@ -285,55 +245,19 @@ McResult run_sharded(std::size_t trials, const McConfig& config,
       }
     }
     if (!failure.empty()) throw ShardWorkerError(failure);
+    return accs;
   }
+#else
+  (void)fork;
 #endif  // COMIMO_HAS_FORK
-  if (!forked) {
-    // Portable fallback: the same shard ranges, sequentially in this
-    // process.  Same chunk partition, same fold order, same bits.
-    for (std::size_t s = 0; s < options.shards; ++s) {
-      McResult r = run_one(shard_config(config, s, options.shards));
-      out.info.threads = r.info.threads;
-      for (auto& entry : r.chunk_accs) {
-        chunk_accs.push_back(std::move(entry));
-      }
+  // In-process: the same slices, one after another on this process's
+  // pool.  Same chunk partition, same fold order, same bits.
+  for (std::size_t s = 0; s < shards; ++s) {
+    for (McAccumulator& acc : run(slice_lo(s), slice_lo(s + 1), pool)) {
+      accs.push_back(std::move(acc));
     }
   }
-
-  for (const auto& [ordinal, acc] : chunk_accs) {
-    (void)ordinal;
-    out.acc.merge(acc);
-  }
-  if (config.collect_chunk_accs) out.chunk_accs = std::move(chunk_accs);
-
-  const auto t1 = std::chrono::steady_clock::now();
-  out.info.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  out.info.trials_per_sec =
-      out.info.wall_s > 0.0
-          ? static_cast<double>(trials) / out.info.wall_s
-          : 0.0;
-  return out;
+  return accs;
 }
 
-}  // namespace
-
-McResult run_trials_sharded(
-    std::size_t trials, const McConfig& config, const ShardOptions& options,
-    const std::function<void(std::size_t, Rng&, McAccumulator&)>& trial) {
-  return run_sharded(trials, config, options,
-                     [&](const McConfig& c) {
-                       return run_trials(trials, c, trial);
-                     });
-}
-
-McResult run_trial_batches_sharded(
-    std::size_t trials, const McConfig& config, const ShardOptions& options,
-    std::size_t max_batch,
-    const std::function<void(std::size_t, std::size_t, Rng*, McAccumulator&)>&
-        batch) {
-  return run_sharded(trials, config, options,
-                     [&](const McConfig& c) {
-                       return run_trial_batches(trials, c, max_batch, batch);
-                     });
-}
-
-}  // namespace comimo
+}  // namespace comimo::detail

@@ -1,24 +1,25 @@
-// Multi-process sharding for the Monte-Carlo engine.
+// Multi-process transport for the Monte-Carlo driver (mc/engine.h).
 //
-// run_trials already makes the reduction a pure function of the global
+// run_mc already makes the reduction a pure function of the global
 // chunk partition: chunk accumulators fold in ascending chunk ordinal,
-// never in scheduling order.  This driver extends that algebra from
-// threads to processes.  Each worker process executes one contiguous
-// range of the *global* chunk partition (McConfig::shard_index /
-// shard_count — the partition itself never changes), ships its
-// per-chunk accumulators back over a pipe as bit-exact wire images
-// (mc/accumulator.h), and the parent folds every chunk in ascending
-// global ordinal.  Per-chunk transport matters: the Welford merge is
-// not associative bitwise, so folding pre-reduced per-shard partials
-// would drift by ulps — folding the original chunk sequence reproduces
-// the single-process reduction exactly, which is what makes a
-// `--shards K` bench envelope byte-identical to `--shards 1`.
+// never in scheduling order.  This transport extends that algebra from
+// threads to processes.  With McConfig::shards = K > 1, each round's
+// chunk window is cut into K contiguous slices; each worker process
+// executes one slice of the *global* partition (the partition itself
+// never changes), ships its per-chunk accumulators back over a pipe as
+// bit-exact wire images (mc/accumulator.h), and the parent returns
+// every chunk in ascending global ordinal for the driver to fold.
+// Per-chunk transport matters: the Welford merge is not associative
+// bitwise, so folding pre-reduced per-shard partials would drift by
+// ulps — folding the original chunk sequence reproduces the
+// single-process reduction exactly, which is what makes a `--shards K`
+// bench envelope byte-identical to `--shards 1`.
 //
-// Fork workers are POSIX-only; `options.fork = false` (and non-POSIX
-// builds) run the shard ranges sequentially in-process — same chunk
-// algebra, same bits, no isolation.  Worker processes never touch the
+// Fork workers are POSIX-only; McConfig::fork = false (and non-POSIX
+// builds) run the slices sequentially in-process — same chunk algebra,
+// same bits, no isolation.  Worker processes never touch the
 // parent's thread pool (its workers do not survive fork); each child
-// builds a private pool of the same size.
+// runs its slice inline on its only thread (ThreadPool::Inline).
 //
 // Process-lifetime discipline (the daemon-grade contract):
 //   * forks are serialized against live threads: the parent quiesces
@@ -35,9 +36,12 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <stdexcept>
+#include <vector>
 
-#include "comimo/mc/engine.h"
+#include "comimo/common/parallel.h"
+#include "comimo/mc/accumulator.h"
 
 namespace comimo {
 
@@ -52,27 +56,23 @@ class ShardWorkerError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-struct ShardOptions {
-  std::size_t shards = 1;
-  /// Fork one worker process per shard (POSIX).  false — or a platform
-  /// without fork — executes the shard ranges sequentially in-process;
-  /// the merged result is bit-identical either way.
-  bool fork = true;
-};
+namespace detail {
 
-/// run_trials across `options.shards` worker processes.  Bit-identical
-/// to run_trials(trials, config, trial) for every shard count; shard
-/// count 1 *is* that call.  The active shard count is exported as the
-/// obs gauge "mc.shard_count".
-[[nodiscard]] McResult run_trials_sharded(
-    std::size_t trials, const McConfig& config, const ShardOptions& options,
-    const std::function<void(std::size_t, Rng&, McAccumulator&)>& trial);
+/// Executes chunks [lo, hi) of a run's global partition on `pool` and
+/// returns one accumulator per chunk, in ascending ordinal.
+using ChunkRunner = std::function<std::vector<McAccumulator>(
+    std::size_t lo, std::size_t hi, ThreadPool& pool)>;
 
-/// run_trial_batches across worker processes; same contract.
-[[nodiscard]] McResult run_trial_batches_sharded(
-    std::size_t trials, const McConfig& config, const ShardOptions& options,
-    std::size_t max_batch,
-    const std::function<void(std::size_t, std::size_t, Rng*, McAccumulator&)>&
-        batch);
+/// One round of run_mc across `shards` slices of the chunk window
+/// [lo, hi): slice s is [lo + n·s/shards, lo + n·(s+1)/shards) with
+/// n = hi − lo, executed by `run` in a forked worker (on an inline pool)
+/// or, without `fork`, in this process on `pool`.  Returns the window's
+/// per-chunk accumulators in ascending ordinal; throws ShardWorkerError
+/// when a worker fails or returns chunks other than its slice.
+[[nodiscard]] std::vector<McAccumulator> run_sharded(
+    std::size_t lo, std::size_t hi, std::size_t shards, bool fork,
+    ThreadPool& pool, const ChunkRunner& run);
+
+}  // namespace detail
 
 }  // namespace comimo

@@ -69,8 +69,9 @@ class OverlayRelayScheme {
   /// leg runs at γ_b = ē_b(p, b, mt, mr)/N0 with the constellations the
   /// plan chose.  Relay counts above the STBC design range fall back to
   /// the G4 code on the MISO leg.
-  /// `shards` > 1 splits each leg across worker processes via the
-  /// mc/sharded.h driver — bit-identical to the single-process run.
+  /// `shards` > 1 forks each leg's MC rounds across worker processes
+  /// (McConfig::shards, mc/sharded.h) — bit-identical to the
+  /// single-process run.
   [[nodiscard]] OverlayRelayWaveform measure_relay_waveform(
       const OverlayRelayConfig& config, const OverlayRelayEnergies& energies,
       std::size_t blocks = 4000, std::uint64_t seed = 1,

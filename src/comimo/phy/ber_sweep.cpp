@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "comimo/common/error.h"
 #include "comimo/common/units.h"
@@ -12,7 +11,6 @@
 #include "comimo/numeric/simd/simd.h"
 #include "comimo/obs/metrics.h"
 #include "comimo/phy/ber.h"
-#include "comimo/mc/sharded.h"
 #include "comimo/phy/detector.h"
 #include "comimo/phy/hop_batch.h"
 #include "comimo/phy/modulation.h"
@@ -252,107 +250,83 @@ std::size_t WaveformBerKernel::run_block_batch(HopBatchWorkspace& ws,
 WaveformBerPoint measure_waveform_ber(const WaveformBerConfig& config,
                                       double gamma_b_db) {
   COMIMO_CHECK(config.blocks >= 1, "need at least one block");
-
-  const double gamma_b = db_to_linear(gamma_b_db);
-  const WaveformBerKernel kernel(config.b, config.mt, config.mr, gamma_b);
-  const std::size_t bits_per_block = kernel.bits_per_block();
-
-  McConfig mc;
-  mc.seed = config.seed;
-  mc.chunk_size = config.chunk_size;
-  mc.pool = config.pool;
-  const ShardOptions shard_options{config.shards, /*fork=*/true};
-
-  // With a vector tier pinned, W consecutive blocks of each chunk run
-  // through the batch-SoA kernel; each lane is bit-identical to the
-  // scalar run_block on the same (seed, trial) stream and the grouping
-  // is worker-count invariant, so both paths produce the same counters
-  // — the scalar branch is the W == 1 / kill-switch shape of the same
-  // measurement.  Sharding splits the global chunk range across worker
-  // processes and folds per-chunk accumulators in global chunk order,
-  // so the counters are also shard-count invariant (mc/sharded.h).
-  const std::size_t width = simd::batch_width();
   const bool adaptive_on = config.adaptive.target_rel_ci > 0.0;
   const bool is_on =
       adaptive_on && config.adaptive.is_mode == IsMode::kScaledNoise;
   const double nu = config.adaptive.is_noise_scale;
   const double lambda = config.adaptive.is_channel_scale;
+  if (is_on) {
+    // The kernel only DCHECKs its scales; a scale below 1 (or NaN)
+    // would put NaN or zero weights into the estimate.
+    COMIMO_CHECK(std::isfinite(nu) && nu >= 1.0,
+                 "IS noise scale must be finite and >= 1");
+    COMIMO_CHECK(std::isfinite(lambda) && lambda >= 1.0,
+                 "IS channel scale must be finite and >= 1");
+  }
 
-  const auto scalar_trial = [&](std::size_t, Rng& rng, McAccumulator& acc) {
-    // One workspace per worker thread, reused across every block the
-    // thread runs; prepare() re-shapes it (no allocation at steady
-    // state) in case the thread last served a different kernel.
+  const double gamma_b = db_to_linear(gamma_b_db);
+  const WaveformBerKernel kernel(config.b, config.mt, config.mr, gamma_b);
+  const std::size_t bits_per_block = kernel.bits_per_block();
+
+  // W consecutive blocks of each chunk go to one batch call.  Plain
+  // points run the batch-SoA kernel, whose lanes are each bit-identical
+  // to run_block on the same (seed, trial) stream (W = 1 is the scalar
+  // tier); IS points run the tilted scalar kernel lane by lane in trial
+  // order, so every statistic sees the same observation sequence at any
+  // width.  The grouping is worker- and shard-count invariant, so both
+  // give the same bits on any pool and across worker processes.
+  McConfig mc;
+  mc.seed = config.seed;
+  mc.chunk_size = config.chunk_size;
+  mc.pool = config.pool;
+  mc.batch_width = simd::batch_width();
+  mc.shards = config.shards;
+  const auto batch = [&](std::size_t, std::size_t count, Rng* rngs,
+                         McAccumulator& acc) {
+    if (!is_on) {
+      // One hop-batch workspace per worker thread, reused across every
+      // group the thread runs (no allocation at steady state).  The
+      // waveform probe only exercises the long-haul planes (ws.link).
+      thread_local HopBatchWorkspace ws;
+      kernel.prepare_batch(ws, mc.batch_width);
+      acc.count("bit_errors", kernel.run_block_batch(ws, rngs, count));
+      acc.count("bits", bits_per_block * count);
+      return;
+    }
+    // The tilted link has no SIMD batch variant (rare-event points need
+    // few blocks by construction, so the batch win is small there).
     thread_local LinkWorkspace ws;
     kernel.prepare(ws);
-    acc.count("bit_errors", kernel.run_block(ws, rng));
-    acc.count("bits", bits_per_block);
+    for (std::size_t i = 0; i < count; ++i) {
+      const WaveformBerKernel::IsBlock blk =
+          kernel.run_block_is(ws, rngs[i], nu, lambda);
+      acc.count("bit_errors", blk.bit_errors);
+      acc.count("bits", bits_per_block);
+      acc.observe("is_ber", blk.weight * static_cast<double>(blk.bit_errors) /
+                                static_cast<double>(bits_per_block));
+      acc.observe("is_weight", blk.weight);
+      // Error blocks are the only nonzero terms of the estimator: their
+      // weight stream is what ESS must watch (a mis-tilt shows up as a
+      // few huge-weight errors dominating it, which raw-weight ESS hides
+      // behind the harmless weight spread of the error-free majority).
+      if (blk.bit_errors > 0) acc.observe("is_err_weight", blk.weight);
+    }
   };
-  const auto batch_trial = [&](std::size_t, std::size_t count, Rng* rngs,
-                               McAccumulator& acc) {
-    // One hop-batch workspace per worker thread, reused across every
-    // group the thread runs (no allocation at steady state).  The
-    // waveform probe only exercises the long-haul planes (ws.link).
-    thread_local HopBatchWorkspace ws;
-    kernel.prepare_batch(ws, width);
-    acc.count("bit_errors", kernel.run_block_batch(ws, rngs, count));
-    acc.count("bits", bits_per_block * count);
-  };
-  // The IS trial runs the scalar kernel only: the tilted link has no
-  // SIMD batch variant (rare-event points need few blocks by
-  // construction, so the batch win is small there).
-  const auto is_trial = [&](std::size_t, Rng& rng, McAccumulator& acc) {
-    thread_local LinkWorkspace ws;
-    kernel.prepare(ws);
-    const WaveformBerKernel::IsBlock blk =
-        kernel.run_block_is(ws, rng, nu, lambda);
-    acc.count("bit_errors", blk.bit_errors);
-    acc.count("bits", bits_per_block);
-    acc.observe("is_ber", blk.weight * static_cast<double>(blk.bit_errors) /
-                              static_cast<double>(bits_per_block));
-    acc.observe("is_weight", blk.weight);
-    // Error blocks are the only nonzero terms of the estimator: their
-    // weight stream is what ESS must watch (a mis-tilt shows up as a
-    // few huge-weight errors dominating it, which raw-weight ESS hides
-    // behind the harmless weight spread of the error-free majority).
-    if (blk.bit_errors > 0) acc.observe("is_err_weight", blk.weight);
-  };
+  // Stopping rule (adaptive only): the raw bit-error rate for plain
+  // points, the weighted per-block BER stat under IS (the raw counters
+  // are tilted there and only serve as diagnostics).
+  const StopRule rule = is_on ? StopRule{"is_ber", ""}
+                              : StopRule{"bit_errors", "bits"};
+  const McResult run =
+      run_mc(config.blocks, mc, batch, McStop{config.adaptive, rule});
 
   WaveformBerPoint point;
   point.gamma_b_db = gamma_b_db;
-  McResult run;
-  if (adaptive_on) {
-    // Stopping rule: the raw bit-error rate for plain adaptive, the
-    // weighted per-block BER stat under IS (the raw counters are tilted
-    // there and only serve as diagnostics).
-    const StopRule rule = is_on ? StopRule{"is_ber", ""}
-                                : StopRule{"bit_errors", "bits"};
-    AdaptiveResult ar;
-    if (is_on) {
-      ar = run_trials_adaptive(config.blocks, mc, config.adaptive, rule,
-                               shard_options, is_trial);
-    } else if (width > 1) {
-      ar = run_trial_batches_adaptive(config.blocks, mc, config.adaptive,
-                                      rule, shard_options, width,
-                                      batch_trial);
-    } else {
-      ar = run_trials_adaptive(config.blocks, mc, config.adaptive, rule,
-                               shard_options, scalar_trial);
-    }
-    run = std::move(ar.mc);
-    point.trials_budget = ar.trials_budget;
-    point.trials_executed = ar.trials_executed;
-    point.checkpoints = ar.checkpoints;
-    point.target_met = ar.target_met;
-    point.rel_ci = std::isfinite(ar.rel_ci) ? ar.rel_ci : 0.0;
-  } else {
-    run = width > 1 ? run_trial_batches_sharded(config.blocks, mc,
-                                                shard_options, width,
-                                                batch_trial)
-                    : run_trials_sharded(config.blocks, mc, shard_options,
-                                         scalar_trial);
-    point.trials_budget = config.blocks;
-    point.trials_executed = config.blocks;
-  }
+  point.trials_budget = config.blocks;
+  point.trials_executed = run.info.trials;
+  point.checkpoints = run.checkpoints;
+  point.target_met = run.target_met;
+  point.rel_ci = std::isfinite(run.rel_ci) ? run.rel_ci : 0.0;
 
   point.bits = run.acc.counter("bits");
   point.bit_errors = run.acc.counter("bit_errors");

@@ -31,9 +31,9 @@ struct WaveformBerConfig {
   std::uint64_t seed = 1;
   std::size_t chunk_size = 0;  ///< engine shard size; 0 = auto
   ThreadPool* pool = nullptr;  ///< null = shared pool
-  /// Worker processes: > 1 runs the measurement through the
-  /// multi-process sharding driver (mc/sharded.h); bit-identical to the
-  /// single-process run at any count.
+  /// Worker processes: > 1 forks the measurement's chunk rounds across
+  /// that many processes (McConfig::shards, mc/sharded.h); bit-identical
+  /// to the single-process run at any count.
   std::size_t shards = 1;
   /// Precision-targeted stopping (mc/adaptive.h).  target_rel_ci > 0
   /// runs the measurement in checkpoint rounds against `blocks` as the

@@ -110,8 +110,9 @@ struct PlanBerMeasurement {
 /// clamped to the supported STBC range.  Lets planners cross-check the
 /// analytic ē_b table against actual modulated blocks without leaving
 /// the underlay API.
-/// `shards` > 1 splits the measurement across worker processes via the
-/// mc/sharded.h driver — bit-identical to the single-process run.
+/// `shards` > 1 forks the measurement's MC rounds across worker processes
+/// (McConfig::shards, mc/sharded.h) — bit-identical to the
+/// single-process run.
 [[nodiscard]] PlanBerMeasurement measure_plan_ber(
     const UnderlayHopPlan& plan, std::size_t blocks, std::uint64_t seed = 1,
     const SystemParams& params = {}, std::size_t chunk_size = 0,

@@ -1,8 +1,9 @@
-// Adaptive precision-targeted Monte-Carlo (mc/adaptive.h).
+// Adaptive precision-targeted Monte-Carlo: run_mc with a stop rule
+// (mc/engine.h, mc/adaptive.h).
 //
 // Test names matter for CI: scripts/ci.sh runs the AdaptiveMc and
 // ImportanceSampling suites under ASan+UBSan and on the
-// -DCOMIMO_SIMD=OFF leg, so the adaptive driver and the IS estimator
+// -DCOMIMO_SIMD=OFF leg, so the checkpoint loop and the IS estimator
 // are exercised with sanitizers and with the batch path disabled.
 #include "comimo/mc/adaptive.h"
 
@@ -10,9 +11,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
+#include "comimo/common/error.h"
 #include "comimo/common/parallel.h"
 #include "comimo/common/units.h"
+#include "comimo/mc/engine.h"
 #include "comimo/phy/ber.h"
 #include "comimo/phy/ber_sweep.h"
 
@@ -28,10 +32,17 @@ void event_trial(std::size_t, Rng& rng, McAccumulator& acc) {
   acc.observe("gauss", 1.0 + rng.complex_gaussian().real());
 }
 
-AdaptiveConfig rate_target(double rel_ci) {
-  AdaptiveConfig a;
-  a.target_rel_ci = rel_ci;
-  return a;
+// event_trial run lane by lane as a batch function.
+void event_batch(std::size_t first, std::size_t count, Rng* rngs,
+                 McAccumulator& acc) {
+  for (std::size_t i = 0; i < count; ++i) event_trial(first + i, rngs[i], acc);
+}
+
+McStop rate_target(double rel_ci) {
+  McStop stop;
+  stop.adaptive.target_rel_ci = rel_ci;
+  stop.rule = StopRule{"events", "trials"};
+  return stop;
 }
 
 TEST(AdaptiveMc, ConfidenceZMatchesNormalQuantiles) {
@@ -51,42 +62,38 @@ TEST(AdaptiveMc, RateRelCiShrinksWithEvents) {
 TEST(AdaptiveMc, StopsEarlyAndSavesTrials) {
   McConfig mc;
   mc.seed = 7;
-  const AdaptiveResult r =
-      run_trials_adaptive(200000, mc, rate_target(0.1),
-                          StopRule{"events", "trials"}, ShardOptions{1},
-                          event_trial);
+  const McResult r = run_mc(200000, mc, event_batch, rate_target(0.1));
   EXPECT_TRUE(r.target_met);
-  EXPECT_LT(r.trials_executed, r.trials_budget);
-  EXPECT_GT(r.trials_executed, 0u);
+  EXPECT_LT(r.info.trials, 200000u);
+  EXPECT_GT(r.info.trials, 0u);
   EXPECT_LE(r.rel_ci, 0.1);
-  EXPECT_EQ(r.mc.acc.counter("trials"), r.trials_executed);
+  EXPECT_EQ(r.acc.counter("trials"), r.info.trials);
   // ~z²(1−p)/(ρ²p) ≈ 7300 events-bearing trials needed at p = 0.05 —
   // the checkpoint quantization may overshoot by one round, never by
   // orders of magnitude.
-  EXPECT_LT(r.trials_executed, 40000u);
+  EXPECT_LT(r.info.trials, 40000u);
 }
 
 TEST(AdaptiveMc, BitIdenticalAcrossThreadsAndShards) {
   McConfig base;
   base.seed = 11;
-  const AdaptiveResult ref =
-      run_trials_adaptive(60000, base, rate_target(0.12),
-                          StopRule{"events", "trials"}, ShardOptions{1},
-                          event_trial);
+  const McResult ref = run_mc(60000, base, event_batch, rate_target(0.12));
   for (const unsigned workers : {2u, 5u}) {
     ThreadPool pool(workers);
     McConfig cfg = base;
     cfg.pool = &pool;
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const AdaptiveResult r = run_trials_adaptive(
-          60000, cfg, rate_target(0.12), StopRule{"events", "trials"},
-          ShardOptions{shards, /*fork=*/true}, event_trial);
-      EXPECT_TRUE(r.mc.acc == ref.mc.acc)
-          << workers << " workers x " << shards << " shards diverged";
-      EXPECT_EQ(r.trials_executed, ref.trials_executed);
-      EXPECT_EQ(r.checkpoints, ref.checkpoints);
-      EXPECT_EQ(r.target_met, ref.target_met);
-      EXPECT_EQ(r.rel_ci, ref.rel_ci);
+      for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
+        cfg.shards = shards;
+        cfg.batch_width = width;
+        const McResult r = run_mc(60000, cfg, event_batch, rate_target(0.12));
+        EXPECT_TRUE(r.acc == ref.acc) << workers << " workers x " << shards
+                                      << " shards x width " << width;
+        EXPECT_EQ(r.info.trials, ref.info.trials);
+        EXPECT_EQ(r.checkpoints, ref.checkpoints);
+        EXPECT_EQ(r.target_met, ref.target_met);
+        EXPECT_EQ(r.rel_ci, ref.rel_ci);
+      }
     }
   }
 }
@@ -98,54 +105,60 @@ TEST(AdaptiveMc, ExhaustedBudgetIsBitIdenticalToFixedRun) {
   // An unreachable target: the adaptive run must execute the full
   // budget and reduce to *exactly* the fixed run's bits — same chunk
   // partition, same streams, same fold order.
-  const AdaptiveResult r =
-      run_trials_adaptive(trials, mc, rate_target(1e-6),
-                          StopRule{"events", "trials"}, ShardOptions{1},
-                          event_trial);
+  const McResult r = run_mc(trials, mc, event_batch, rate_target(1e-6));
   const McResult fixed = run_trials(trials, mc, event_trial);
   EXPECT_FALSE(r.target_met);
-  EXPECT_EQ(r.trials_executed, trials);
-  EXPECT_TRUE(r.mc.acc == fixed.acc);
+  EXPECT_EQ(r.info.trials, trials);
+  const std::size_t every = resolve_checkpoint_every(fixed.info.chunks, 0);
+  EXPECT_EQ(r.checkpoints, (fixed.info.chunks + every - 1) / every);
+  EXPECT_TRUE(r.acc == fixed.acc);
+  EXPECT_EQ(fixed.checkpoints, 0u);
+  EXPECT_EQ(fixed.rel_ci, 0.0);
 }
 
 TEST(AdaptiveMc, StatRuleStopsOnRunningStats) {
   McConfig mc;
   mc.seed = 5;
-  AdaptiveConfig a = rate_target(0.05);
-  const AdaptiveResult r = run_trials_adaptive(
-      500000, mc, a, StopRule{"gauss", ""}, ShardOptions{1}, event_trial);
+  McStop stop;
+  stop.adaptive.target_rel_ci = 0.05;
+  stop.rule = StopRule{"gauss", ""};
+  const McResult r = run_mc(500000, mc, event_batch, stop);
   EXPECT_TRUE(r.target_met);
-  EXPECT_LT(r.trials_executed, r.trials_budget);
+  EXPECT_LT(r.info.trials, 500000u);
   // rel CI z·σ/(√n·µ) with σ ≈ 1/√2, µ ≈ 1 → n ≈ 770; one checkpoint
   // round of the 500k budget is 500000/1024/... — allow slack.
   EXPECT_LE(r.rel_ci, 0.05);
 }
 
 TEST(AdaptiveMc, WindowedEngineComposesToFullRun) {
-  // The primitive under the checkpoint loop: consecutive chunk windows
-  // folded in ascending ordinal reproduce the unwindowed run bitwise —
-  // provided the fold consumes the per-chunk accumulators, not the
-  // pre-reduced window partials (the Welford merge is not associative
-  // bitwise; folding partials drifts by ulps, which is why the adaptive
-  // driver always transports chunk_accs).
+  // The checkpoint loop's rounds are consecutive chunk windows of the
+  // full run's partition, folded per chunk in ascending ordinal — never
+  // as pre-reduced window partials, which would drift by ulps (the
+  // Welford merge is not associative bitwise).  With a target no
+  // window meets, every schedule must reproduce the one-round run.
   McConfig mc;
   mc.seed = 9;
   const std::size_t trials = 5000;
   const McResult full = run_trials(trials, mc, event_trial);
-  const std::size_t chunks = full.info.chunks;
-  McAccumulator folded;
-  for (std::size_t lo = 0; lo < chunks; lo += 3) {
-    McConfig w = mc;
-    w.chunk_window_begin = lo;
-    w.chunk_window_end = std::min(chunks, lo + 3);
-    w.collect_chunk_accs = true;
-    const McResult part = run_trials(trials, w, event_trial);
-    for (const auto& [ordinal, acc] : part.chunk_accs) {
-      (void)ordinal;
-      folded.merge(acc);
-    }
+  for (const std::size_t every : {1u, 3u, 100u, 5000u}) {
+    McStop stop = rate_target(1e-9);
+    stop.adaptive.checkpoint_every = every;
+    const McResult windowed = run_mc(trials, mc, event_batch, stop);
+    EXPECT_TRUE(windowed.acc == full.acc) << every << " chunks per window";
+    EXPECT_EQ(windowed.checkpoints,
+              (full.info.chunks + every - 1) / every);
   }
-  EXPECT_TRUE(folded == full.acc);
+}
+
+TEST(AdaptiveMc, StopRuleWithoutStatIsRejected) {
+  McConfig mc;
+  McStop stop;
+  stop.adaptive.target_rel_ci = 0.1;
+  EXPECT_THROW((void)run_mc(100, mc, event_batch, stop), InvalidArgument);
+  // Zero trials still reports "not estimable" for an adaptive run.
+  const McResult none = run_mc(0, mc, event_batch, rate_target(0.1));
+  EXPECT_EQ(none.info.trials, 0u);
+  EXPECT_EQ(none.rel_ci, std::numeric_limits<double>::infinity());
 }
 
 TEST(AdaptiveMc, WaveformPointStopsAndStaysDeterministic) {
@@ -310,6 +323,43 @@ TEST(ImportanceSampling, DeterministicAcrossThreadsAndShards) {
   EXPECT_EQ(p.ber, ref.ber);  // bitwise: same fold sequence
   EXPECT_EQ(p.ess, ref.ess);
   EXPECT_EQ(p.rel_ci, ref.rel_ci);
+}
+
+TEST(ImportanceSampling, RejectsScalesBelowOneOrNotFinite) {
+  // The kernel only DCHECKs its scales; measure_waveform_ber checks them
+  // in every build, before the first trial, whenever IS runs.  Unchecked,
+  // a scale below 1 or NaN turns a Release build's estimate into NaN or 0.
+  WaveformBerConfig cfg;
+  cfg.b = 2;
+  cfg.mt = 2;
+  cfg.mr = 2;
+  cfg.blocks = 64;
+  cfg.adaptive.target_rel_ci = 0.2;
+  cfg.adaptive.is_mode = IsMode::kScaledNoise;
+  const double bad[] = {0.0, -1.0, 0.5,
+                        std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    WaveformBerConfig noise = cfg;
+    noise.adaptive.is_noise_scale = v;
+    EXPECT_THROW((void)measure_waveform_ber(noise, 6.0), InvalidArgument)
+        << "is_noise_scale " << v;
+    WaveformBerConfig chan = cfg;
+    chan.adaptive.is_noise_scale = 1.0;
+    chan.adaptive.is_channel_scale = v;
+    EXPECT_THROW((void)measure_waveform_ber(chan, 6.0), InvalidArgument)
+        << "is_channel_scale " << v;
+  }
+  // Scales of exactly 1 are the untilted path, and without IS the scales
+  // are never read.
+  WaveformBerConfig unit = cfg;
+  unit.adaptive.is_noise_scale = 1.0;
+  unit.adaptive.is_channel_scale = 1.0;
+  EXPECT_NO_THROW((void)measure_waveform_ber(unit, 6.0));
+  WaveformBerConfig off = cfg;
+  off.adaptive.is_mode = IsMode::kOff;
+  off.adaptive.is_noise_scale = 0.0;
+  EXPECT_NO_THROW((void)measure_waveform_ber(off, 6.0));
 }
 
 }  // namespace

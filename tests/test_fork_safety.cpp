@@ -1,5 +1,5 @@
-// Fork/lifetime discipline of the multi-process shard driver (the
-// daemon-grade contract of mc/sharded.h):
+// Fork/lifetime discipline of the driver's multi-process transport
+// (the daemon-grade contract of mc/sharded.h):
 //
 //   1. forking while other threads hammer the obs registry (gauges,
 //      histograms) and while the parent thread pool has been busy must
@@ -80,12 +80,10 @@ TEST(ForkSafety, ForkUnderActiveObsTrafficCompletes) {
   ThreadPool pool(4);
   McConfig forked = cfg;
   forked.pool = &pool;
-  ShardOptions options;
-  options.shards = 3;
-  options.fork = true;
+  forked.shards = 3;
+  forked.fork = true;
   for (int round = 0; round < 5; ++round) {
-    const McResult run = run_trials_sharded(4000, forked, options,
-                                            noisy_trial);
+    const McResult run = run_trials(4000, forked, noisy_trial);
     EXPECT_EQ(run.acc.counter("trials"), ref.acc.counter("trials"));
     EXPECT_EQ(run.acc.counter("hits"), ref.acc.counter("hits"));
     EXPECT_EQ(run.acc.stat("x").mean(), ref.acc.stat("x").mean());
@@ -117,18 +115,17 @@ TEST(ForkSafety, KilledShardWorkerIsRecoverable) {
   McConfig cfg;
   cfg.seed = 5;
   cfg.pool = &pool;
-  ShardOptions options;
-  options.shards = 2;
-  options.fork = true;
-  EXPECT_THROW((void)run_trials_sharded(2000, cfg, options, killer),
-               ShardWorkerError);
+  cfg.shards = 2;
+  cfg.fork = true;
+  EXPECT_THROW((void)run_trials(2000, cfg, killer), ShardWorkerError);
 
   // Recoverable means the process is still healthy: the same run
   // without the kill completes and matches the serial reduction.
-  const McResult ok = run_trials_sharded(2000, cfg, options, noisy_trial);
+  const McResult ok = run_trials(2000, cfg, noisy_trial);
   ThreadPool serial_pool(1);
   McConfig serial = cfg;
   serial.pool = &serial_pool;
+  serial.shards = 1;
   const McResult ref = run_trials(2000, serial, noisy_trial);
   EXPECT_EQ(ok.acc.counter("hits"), ref.acc.counter("hits"));
   EXPECT_EQ(ok.acc.stat("x").mean(), ref.acc.stat("x").mean());
@@ -151,27 +148,23 @@ TEST(ForkSafety, WorkerAbortReportsExitStatus) {
   ThreadPool pool(1);
   McConfig cfg;
   cfg.pool = &pool;
-  ShardOptions options;
-  options.shards = 2;
-  options.fork = true;
-  EXPECT_THROW((void)run_trials_sharded(400, cfg, options, thrower),
-               ShardWorkerError);
+  cfg.shards = 2;
+  cfg.fork = true;
+  EXPECT_THROW((void)run_trials(400, cfg, thrower), ShardWorkerError);
 #endif
 }
 
 TEST(ForkSafety, SequentialFallbackMatchesForkedRun) {
   ThreadPool pool(2);
-  McConfig cfg;
-  cfg.seed = 99;
-  cfg.pool = &pool;
-  ShardOptions forked;
+  McConfig forked;
+  forked.seed = 99;
+  forked.pool = &pool;
   forked.shards = 3;
   forked.fork = true;
-  ShardOptions inproc;
-  inproc.shards = 3;
+  McConfig inproc = forked;
   inproc.fork = false;
-  const McResult a = run_trials_sharded(3000, cfg, forked, noisy_trial);
-  const McResult b = run_trials_sharded(3000, cfg, inproc, noisy_trial);
+  const McResult a = run_trials(3000, forked, noisy_trial);
+  const McResult b = run_trials(3000, inproc, noisy_trial);
   EXPECT_EQ(a.acc.counter("hits"), b.acc.counter("hits"));
   EXPECT_EQ(a.acc.stat("x").mean(), b.acc.stat("x").mean());
   EXPECT_EQ(a.acc.stat("x").variance(), b.acc.stat("x").variance());

@@ -12,7 +12,9 @@
 // (run the bench, copy the new value, say so in the commit message).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "comimo/common/units.h"
@@ -22,6 +24,7 @@
 #include "comimo/mc/engine.h"
 #include "comimo/numeric/rng.h"
 #include "comimo/overlay/distance_planner.h"
+#include "comimo/phy/ber_sweep.h"
 #include "comimo/testbed/experiments.h"
 
 namespace comimo {
@@ -217,6 +220,100 @@ TEST(GoldenTables, Fig6OverlayDistanceAnchor) {
   expect_rel(r_lo.d2_m, 721.2142548653477, "D2 @ 10 kHz");
   expect_rel(r_lo.d3_m, 983.1119848200003, "D3 @ 10 kHz");
   EXPECT_LT(r_lo.d3_m, r.d3_m);
+}
+
+// --- measure_waveform_ber across versions ---------------------------
+
+// Every other BER check compares the MC driver with itself (threads,
+// shards, SIMD tiers, checkpoint schedules), so none would notice a
+// change that moved every result alike.  These pins hold four points,
+// one per driver path — fixed, fixed over two forked shards, adaptive,
+// and adaptive importance sampling with a fade tilt — to values
+// recorded from a build with separate fixed, sharded and adaptive
+// drivers.  Doubles are pinned as IEEE-754 bit patterns.  The scalar,
+// SSE2, AVX2 and AVX-512 tiers all gave these bits; the COMIMO_SIMD=OFF
+// leg of scripts/ci.sh re-checks the scalar one.
+struct WaveformPin {
+  std::size_t bits;
+  std::size_t bit_errors;
+  std::size_t trials_executed;
+  std::size_t checkpoints;
+  bool target_met;
+  std::uint64_t ber;
+  std::uint64_t rel_ci;
+  std::uint64_t ess;
+  std::size_t err_blocks;
+};
+
+void expect_pin(const WaveformBerConfig& cfg, double gamma_b_db,
+                const WaveformPin& pin) {
+  const WaveformBerPoint p = measure_waveform_ber(cfg, gamma_b_db);
+  EXPECT_EQ(p.bits, pin.bits);
+  EXPECT_EQ(p.bit_errors, pin.bit_errors);
+  EXPECT_EQ(p.trials_budget, cfg.blocks);
+  EXPECT_EQ(p.trials_executed, pin.trials_executed);
+  EXPECT_EQ(p.checkpoints, pin.checkpoints);
+  EXPECT_EQ(p.target_met, pin.target_met);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(p.ber), pin.ber) << p.ber;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(p.rel_ci), pin.rel_ci) << p.rel_ci;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(p.ess), pin.ess) << p.ess;
+  EXPECT_EQ(p.err_blocks, pin.err_blocks);
+}
+
+TEST(GoldenTables, WaveformBerFixedPoint) {
+  // 98-block chunks: at widths 4 and 8 each ends in a narrower group.
+  WaveformBerConfig cfg;
+  cfg.b = 2;
+  cfg.mt = 2;
+  cfg.mr = 2;
+  cfg.blocks = 100000;
+  cfg.seed = 181;
+  expect_pin(cfg, 6.0,
+             {400000, 763, 100000, 0, false, 0x3f5f40a2877ee4e2ULL,
+              0x3fb225b32a4e5058ULL, 0, 0});
+}
+
+TEST(GoldenTables, WaveformBerFixedShardedPoint) {
+  WaveformBerConfig cfg;
+  cfg.b = 1;
+  cfg.mt = 1;
+  cfg.mr = 1;
+  cfg.blocks = 100000;
+  cfg.seed = 182;
+  cfg.shards = 2;
+  expect_pin(cfg, 10.0,
+             {100000, 2304, 100000, 0, false, 0x3f9797cc39ffd60fULL,
+              0x3fa4a9fe703af4f7ULL, 0, 0});
+}
+
+TEST(GoldenTables, WaveformBerAdaptivePoint) {
+  // Stops at the fourth checkpoint of a 400 000-block budget.
+  WaveformBerConfig cfg;
+  cfg.b = 4;
+  cfg.mt = 4;
+  cfg.mr = 2;
+  cfg.blocks = 400000;
+  cfg.seed = 183;
+  cfg.adaptive.target_rel_ci = 0.05;
+  expect_pin(cfg, 8.0,
+             {800768, 1753, 50048, 4, true, 0x3f61eefa1b7fac32ULL,
+              0x3fa7f10598e7714fULL, 0, 0});
+}
+
+TEST(GoldenTables, WaveformBerAdaptiveFadeTiltedIsPoint) {
+  WaveformBerConfig cfg;
+  cfg.b = 1;
+  cfg.mt = 2;
+  cfg.mr = 2;
+  cfg.blocks = 400000;
+  cfg.seed = 184;
+  cfg.adaptive.target_rel_ci = 0.1;
+  cfg.adaptive.is_mode = IsMode::kScaledNoise;
+  cfg.adaptive.is_noise_scale = 1.0;
+  cfg.adaptive.is_channel_scale = 3.0;
+  expect_pin(cfg, 12.0,
+             {525504, 485, 262752, 21, true, 0x3ef83e89bdc7e537ULL,
+              0x3fb9539acacb99e3ULL, 0x40786555b00eddb7ULL, 474});
 }
 
 }  // namespace

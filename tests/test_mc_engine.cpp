@@ -12,10 +12,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "comimo/mc/accumulator.h"
-#include "comimo/mc/sharded.h"
 #include "comimo/net/comimonet.h"
 #include "comimo/net/lifetime.h"
 #include "comimo/phy/ber_sweep.h"
@@ -236,35 +236,49 @@ TEST(McEngine, NestedRunTrialsDegradesToSerial) {
 // ---------------------------------------------------------------------
 
 TEST(McEngineShards, ManualShardFoldIsBitwiseEqualToUnsharded) {
-  // Shard i executes the chunk range [chunks·i/n, chunks·(i+1)/n); the
-  // ranges are contiguous and ascending, so concatenating each shard's
-  // per-chunk accumulators in shard order IS the global chunk order,
-  // and the fold must reproduce the unsharded Welford merge bitwise.
+  // Shard s of K executes the slice [lo + n·s/K, lo + n·(s+1)/K) of each
+  // round's n-chunk window [lo, lo + n), in a forked worker or (fork =
+  // false) in process one slice after another, and the driver folds
+  // their per-chunk accumulators in order.  Every trial counts its own
+  // index, so the windowed, sliced fold must cover [0, trials) with no
+  // gap and no overlap and reproduce the single-round Welford fold
+  // bitwise — including surplus shards whose slice of a 3-chunk window
+  // is empty.
+  const std::size_t trials = 300;
+  const McBatchFn indexed = [](std::size_t first, std::size_t count,
+                               Rng* rngs, McAccumulator& acc) {
+    for (std::size_t i = 0; i < count; ++i) {
+      mixed_trial(first + i, rngs[i], acc);
+      acc.count("t" + std::to_string(first + i));
+    }
+  };
   McConfig base;
   base.seed = 21;
-  base.chunk_size = 16;
-  const McResult want = run_trials(300, base, mixed_trial);
-  const std::size_t chunks = (300 + base.chunk_size - 1) / base.chunk_size;
-  for (const std::size_t shards : {2u, 3u, 7u}) {
-    McAccumulator fold;
-    std::vector<std::size_t> ordinals;
-    for (std::size_t i = 0; i < shards; ++i) {
+  base.chunk_size = 16;  // 19 chunks: ragged last chunk and last window
+  const McResult want = run_mc(trials, base, indexed);
+  ASSERT_EQ(want.info.chunks, 19u);
+  for (std::size_t t = 0; t < trials; ++t) {
+    ASSERT_EQ(want.acc.counter("t" + std::to_string(t)), 1u) << "trial " << t;
+  }
+  ASSERT_EQ(want.acc.counter_names().size(), trials + 2);  // + trials, hits
+  McStop windows;
+  windows.adaptive.target_rel_ci = 1e-12;  // never met: every window runs
+  windows.adaptive.checkpoint_every = 3;
+  windows.rule = StopRule{"hits", "trials"};
+  for (const bool fork : {false, true}) {
+    for (const std::size_t shards : {1u, 2u, 3u, 7u}) {
       McConfig cfg = base;
-      cfg.shard_index = i;
-      cfg.shard_count = shards;
-      cfg.collect_chunk_accs = true;
-      const McResult part = run_trials(300, cfg, mixed_trial);
-      for (const auto& [ordinal, acc] : part.chunk_accs) {
-        ordinals.push_back(ordinal);
-        fold.merge(acc);
-      }
-    }
-    EXPECT_TRUE(fold == want.acc) << shards << " shards";
-    // Concatenated in shard order, the ordinals must be exactly
-    // 0..chunks-1 ascending: a partition with no gap and no overlap.
-    ASSERT_EQ(ordinals.size(), chunks) << shards << " shards";
-    for (std::size_t c = 0; c < chunks; ++c) {
-      EXPECT_EQ(ordinals[c], c) << shards << " shards";
+      cfg.shards = shards;
+      cfg.fork = fork;
+      const McResult one_round = run_mc(trials, cfg, indexed);
+      EXPECT_TRUE(one_round.acc == want.acc)
+          << shards << " shards, fork=" << fork;
+      const McResult windowed = run_mc(trials, cfg, indexed, windows);
+      EXPECT_TRUE(windowed.acc == want.acc)
+          << shards << " shards, fork=" << fork << ", windows";
+      EXPECT_EQ(windowed.checkpoints, 7u);
+      EXPECT_EQ(windowed.info.trials, trials);
+      EXPECT_FALSE(windowed.target_met);
     }
   }
 }
@@ -278,37 +292,37 @@ TEST(McEngineShards, RunTrialsShardedMatchesPlainRun) {
   for (const bool fork : {false, true}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                      std::size_t{5}}) {
-      ShardOptions opt;
-      opt.shards = shards;
-      opt.fork = fork;
-      const McResult got = run_trials_sharded(500, cfg, opt, mixed_trial);
+      McConfig sharded = cfg;
+      sharded.shards = shards;
+      sharded.fork = fork;
+      const McResult got = run_trials(500, sharded, mixed_trial);
       EXPECT_TRUE(got.acc == want.acc)
           << shards << " shards, fork=" << fork;
       EXPECT_EQ(got.info.trials, want.info.trials);
+      EXPECT_EQ(got.info.chunks, want.info.chunks);
     }
   }
 }
 
 TEST(McEngineShards, ShardsAndThreadsComposeBitwise) {
-  // threads × shards: each forked worker rebuilds a private pool of the
-  // parent's size, and chunk ordinals stay global — the composition
-  // must equal the plain serial run exactly.
+  // threads × shards: each forked worker runs its slice inline, and
+  // chunk ordinals stay global — the composition must equal the plain
+  // serial run exactly.
   McConfig serial;
   serial.seed = 47;
   const McResult want = run_trials(400, serial, mixed_trial);
   ThreadPool pool(3);
   McConfig cfg = serial;
   cfg.pool = &pool;
-  ShardOptions opt;
-  opt.shards = 2;
-  const McResult got = run_trials_sharded(400, cfg, opt, mixed_trial);
+  cfg.shards = 2;
+  const McResult got = run_trials(400, cfg, mixed_trial);
   EXPECT_TRUE(got.acc == want.acc);
   EXPECT_EQ(got.info.threads, 3u);
 }
 
 TEST(McEngineShards, RunTrialBatchesShardedMatchesUnsharded) {
-  const auto batch_trial = [](std::size_t, std::size_t count, Rng* rngs,
-                              McAccumulator& acc) {
+  const McBatchFn batch_trial = [](std::size_t, std::size_t count, Rng* rngs,
+                                   McAccumulator& acc) {
     for (std::size_t i = 0; i < count; ++i) {
       acc.count("heads", rngs[i].bernoulli(0.5) ? 1 : 0);
       acc.observe("g", rngs[i].complex_gaussian().real());
@@ -317,12 +331,15 @@ TEST(McEngineShards, RunTrialBatchesShardedMatchesUnsharded) {
   };
   McConfig cfg;
   cfg.seed = 53;
-  const McResult want = run_trial_batches(333, cfg, 4, batch_trial);
+  // Width 1 is the reference: width 4 regroups the trials of each chunk
+  // but not their streams or their order.
+  const McResult want = run_mc(333, cfg, batch_trial);
+  cfg.batch_width = 4;
+  EXPECT_TRUE(run_mc(333, cfg, batch_trial).acc == want.acc) << "width 4";
   for (const std::size_t shards : {2u, 4u}) {
-    ShardOptions opt;
-    opt.shards = shards;
-    const McResult got =
-        run_trial_batches_sharded(333, cfg, opt, 4, batch_trial);
+    McConfig sharded = cfg;
+    sharded.shards = shards;
+    const McResult got = run_mc(333, sharded, batch_trial);
     EXPECT_TRUE(got.acc == want.acc) << shards << " shards";
     EXPECT_EQ(got.acc.counter("trials"), 333u);
   }
@@ -335,9 +352,8 @@ TEST(McEngineShards, MoreShardsThanChunksStillCovers) {
   cfg.seed = 61;
   cfg.chunk_size = 50;  // 2 chunks for 100 trials, 8 shards
   const McResult want = run_trials(100, cfg, mixed_trial);
-  ShardOptions opt;
-  opt.shards = 8;
-  const McResult got = run_trials_sharded(100, cfg, opt, mixed_trial);
+  cfg.shards = 8;
+  const McResult got = run_trials(100, cfg, mixed_trial);
   EXPECT_TRUE(got.acc == want.acc);
   EXPECT_EQ(got.acc.counter("trials"), 100u);
 }

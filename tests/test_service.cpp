@@ -388,5 +388,19 @@ TEST(Service, WaveformBerJobHonorsTargetCi) {
   EXPECT_EQ(body, again.dump_string());
 }
 
+TEST(Service, WaveformBerJobRejectsIsScaleBelowOne) {
+  // The IS kernel only DCHECKs its scales, so in a Release build
+  // is_scale=0 would come back as "ber": null.  The job must fail with
+  // InvalidArgument instead, which the daemon turns into a kError reply.
+  JobRuntime rt(tiny_ebbar_spec());
+  ThreadPool pool(2);
+  JobSpec spec;
+  spec.kind = "waveform_ber";
+  spec.params = {{"blocks", "4000"}, {"target_ci", "0.2"}, {"is", "1"},
+                 {"is_scale", "0"}};
+  EXPECT_THROW((void)run_job(spec, /*session_seed=*/9, rt, pool),
+               InvalidArgument);
+}
+
 }  // namespace
 }  // namespace comimo::service

@@ -441,8 +441,8 @@ TEST(SimdBatch, RunTrialBatchesMatchesRunTrialsAndThreadCount) {
     ThreadPool pool(workers);
     McConfig c = config;
     c.pool = &pool;
-    const McResult got =
-        run_trial_batches(trials, c, simd::batch_width(), batch_trial);
+    c.batch_width = simd::batch_width();
+    const McResult got = run_mc(trials, c, batch_trial);
     EXPECT_EQ(got.acc.counter("heads"), want.acc.counter("heads"))
         << workers << " workers";
     EXPECT_EQ(got.acc.counter("trials"), trials);
