@@ -4,8 +4,8 @@
 # clang-tidy (bugprone-* + performance-*; skipped when the tool is not
 # installed), the obs kill-switch/overhead gate, the COMIMO_SIMD=OFF
 # scalar-pinned leg, the workspace + simd batch link-kernel tests under
-# ASan + UBSan, the thread-pool tests under TSan, and (optionally) the
-# full sanitizer suite.
+# ASan + UBSan, the thread-pool and ē_b memo tests under TSan, and
+# (optionally) the full sanitizer suite.
 #
 # Usage: scripts/ci.sh [build-dir]          (default: build)
 #        CI_SANITIZE=1 scripts/ci.sh        also runs check_sanitized.sh
@@ -80,15 +80,18 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # path.  DetectorGrid drives the GMSK detector-grid chain's index
 # arithmetic against the full waveform, and ParallelForChunks includes
 # the many-callers stress test of the pool's completion hand-off (a
-# stack use-after-free when it was racy).
+# stack use-after-free when it was racy).  EbBarMemoOracle checks the
+# memoized hop planner against the per-b solve loop on route reports.
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks' \
+  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle' \
   -j "$(nproc)"
 
 echo "== thread pool under ThreadSanitizer =="
 # The pool's completion hand-off raced with the caller's return; a plain
 # or ASan build almost never shows it, TSan reports it on every run of
-# the many-callers stress test.  Only the test binary is built here.
+# the many-callers stress test.  EbBarMemoConcurrency has threads race
+# to fill one planner's and one router's ē_b memo.  Only the test binary
+# is built here.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -97,7 +100,8 @@ cmake -B "$TSAN_DIR" -S . \
   -DCOMIMO_BUILD_BENCH=OFF \
   -DCOMIMO_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "$TSAN_DIR" --target comimo_tests -j "$(nproc)"
-ctest --test-dir "$TSAN_DIR" --output-on-failure -R 'ThreadPool|ParallelFor' \
+ctest --test-dir "$TSAN_DIR" --output-on-failure \
+  -R 'ThreadPool|ParallelFor|EbBarMemoConcurrency' \
   -j "$(nproc)"
 
 if [ "${CI_SANITIZE:-0}" = "1" ]; then

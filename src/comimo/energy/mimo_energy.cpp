@@ -1,15 +1,67 @@
 #include "comimo/energy/mimo_energy.h"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "comimo/common/error.h"
 #include "comimo/common/units.h"
 
 namespace comimo {
 
+bool EbBarRow::reachable(int b) const {
+  COMIMO_CHECK(b >= kMinConstellationBits && b <= kMaxConstellationBits,
+               "b outside the constellation range");
+  return ebar[static_cast<std::size_t>(b - kMinConstellationBits)] > 0.0;
+}
+
+double EbBarRow::at(int b) const {
+  if (!reachable(b)) {
+    throw NumericError("target BER unreachable at this constellation");
+  }
+  return ebar[static_cast<std::size_t>(b - kMinConstellationBits)];
+}
+
+struct MimoEnergyModel::EbBarMemo {
+  std::mutex mu;
+  std::map<std::tuple<double, unsigned, unsigned>, EbBarRow> rows;
+};
+
 MimoEnergyModel::MimoEnergyModel(const SystemParams& params,
                                  EbBarConvention convention)
-    : params_(params), solver_(params, convention) {}
+    : params_(params),
+      solver_(params, convention),
+      memo_(std::make_shared<EbBarMemo>()) {}
+
+EbBarRow MimoEnergyModel::ebar_row(double p, unsigned mt,
+                                   unsigned mr) const {
+  COMIMO_CHECK(p > 0.0 && p < 1.0, "target BER must be in (0,1)");
+  COMIMO_CHECK(mt >= 1 && mr >= 1, "antenna counts must be >= 1");
+  const std::tuple key{p, mt, mr};
+  // The fill runs under the lock, so each key is solved exactly once
+  // however many threads ask for it first.
+  const std::lock_guard<std::mutex> lock(memo_->mu);
+  if (const auto it = memo_->rows.find(key); it != memo_->rows.end()) {
+    return it->second;
+  }
+  EbBarRow row;
+  for (int b = kMinConstellationBits; b <= kMaxConstellationBits; ++b) {
+    try {
+      row.ebar[static_cast<std::size_t>(b - kMinConstellationBits)] =
+          solver_.solve(p, b, mt, mr);
+    } catch (const NumericError&) {
+      // Unreachable at this b: the row keeps 0 there.
+    }
+  }
+  memo_->rows.emplace(key, row);
+  return row;
+}
+
+double MimoEnergyModel::ebar(double p, int b, unsigned mt,
+                             unsigned mr) const {
+  return ebar_row(p, mt, mr).at(b);
+}
 
 double MimoEnergyModel::pa_energy_with_ebar(int b, double ebar, unsigned mt,
                                             double distance_m) const {
@@ -23,8 +75,7 @@ double MimoEnergyModel::pa_energy_with_ebar(int b, double ebar, unsigned mt,
 
 double MimoEnergyModel::pa_energy(int b, double p, unsigned mt, unsigned mr,
                                   double distance_m) const {
-  const double ebar = solver_.solve(p, b, mt, mr);
-  return pa_energy_with_ebar(b, ebar, mt, distance_m);
+  return pa_energy_with_ebar(b, ebar(p, b, mt, mr), mt, distance_m);
 }
 
 double MimoEnergyModel::tx_circuit_energy(int b, double bw_hz) const {
@@ -58,11 +109,11 @@ double MimoEnergyModel::distance_for_energy(double energy_per_bit, int b,
     throw InfeasibleError(
         "energy budget does not cover the transmit circuit energy");
   }
-  const double ebar = solver_.solve(p, b, mt, mr);
+  const double eb = ebar(p, b, mt, mr);
   // e_PA = (1/mt)(1+α)·ē_b·(4πD)²/(GtGr λ²)·Ml·Nf  ⇒  solve for D.
   const double alpha = params_.pa_overhead(b);
   const double coeff = (1.0 / static_cast<double>(mt)) * (1.0 + alpha) *
-                       ebar * params_.link_margin * params_.noise_figure /
+                       eb * params_.link_margin * params_.noise_figure /
                        (params_.gt_gr * params_.lambda_m * params_.lambda_m);
   const double four_pi_d_sq = pa_budget / coeff;
   return std::sqrt(four_pi_d_sq) / (4.0 * kPi);

@@ -15,7 +15,9 @@ ConstellationOptimizer::ConstellationOptimizer(const SystemParams& params,
       mimo_(params, convention),
       b_min_(b_min),
       b_max_(b_max) {
-  COMIMO_CHECK(b_min >= 1 && b_max >= b_min, "invalid constellation range");
+  COMIMO_CHECK(b_min >= kMinConstellationBits && b_max >= b_min &&
+                   b_max <= kMaxConstellationBits,
+               "invalid constellation range");
 }
 
 ConstellationChoice ConstellationOptimizer::minimize(

@@ -59,6 +59,10 @@ class ConstellationOptimizer {
   [[nodiscard]] ConstellationChoice minimize(
       const std::function<double(int)>& objective) const;
 
+  /// The energy model, and with it the ē_b memo, every search reads.
+  [[nodiscard]] const MimoEnergyModel& energy_model() const noexcept {
+    return mimo_;
+  }
   [[nodiscard]] int b_min() const noexcept { return b_min_; }
   [[nodiscard]] int b_max() const noexcept { return b_max_; }
 

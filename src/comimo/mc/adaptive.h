@@ -60,7 +60,8 @@ struct AdaptiveConfig {
   /// Chunks per checkpoint round; 0 picks max(1, chunks / 32) — a pure
   /// function of the chunk count, never of the worker count.
   std::size_t checkpoint_every = 0;
-  /// Rare-event importance sampling (phy/ber_sweep.h).
+  /// Rare-event importance sampling (phy/ber_sweep.h); anything but
+  /// kOff requires target_rel_ci > 0.
   IsMode is_mode = IsMode::kOff;
   /// Noise-variance scale ν ≥ 1 for IsMode::kScaledNoise (1 = noise
   /// untilted).

@@ -6,7 +6,7 @@
 namespace comimo {
 
 OverlayRelayScheme::OverlayRelayScheme(const SystemParams& params)
-    : params_(params), mimo_(params), optimizer_(params) {}
+    : params_(params), optimizer_(params) {}
 
 OverlayRelayEnergies OverlayRelayScheme::plan(
     const OverlayRelayConfig& config) const {
@@ -22,7 +22,7 @@ OverlayRelayEnergies OverlayRelayScheme::plan(
       config.bandwidth_hz);
   e.b_simo = simo.b;
   e.e_pt = simo.value;
-  e.e_su_rx = mimo_.rx_energy(simo.b, config.bandwidth_hz);
+  e.e_su_rx = energy_model().rx_energy(simo.b, config.bandwidth_hz);
 
   // Step 2 — the m SUs transmit over the m×1 MISO link; b minimizes the
   // per-SU transmit energy.
@@ -31,7 +31,7 @@ OverlayRelayEnergies OverlayRelayScheme::plan(
       config.bandwidth_hz);
   e.b_miso = miso.b;
   e.e_su_tx = miso.value;
-  e.e_pr = mimo_.rx_energy(miso.b, config.bandwidth_hz);
+  e.e_pr = energy_model().rx_energy(miso.b, config.bandwidth_hz);
   return e;
 }
 
@@ -61,7 +61,7 @@ OverlayRelayWaveform OverlayRelayScheme::measure_relay_waveform(
     cfg.seed = seed;
     cfg.pool = pool;
     cfg.shards = shards;
-    const double ebar = mimo_.solver().solve(config.ber, cfg.b, 1, cfg.mr);
+    const double ebar = energy_model().ebar(config.ber, cfg.b, 1, cfg.mr);
     out.simo =
         measure_waveform_ber(cfg, linear_to_db(ebar / params_.n0_w_per_hz));
   }
@@ -76,7 +76,7 @@ OverlayRelayWaveform OverlayRelayScheme::measure_relay_waveform(
     cfg.seed = seed + 0x51D0;  // independent stream family per leg
     cfg.pool = pool;
     cfg.shards = shards;
-    const double ebar = mimo_.solver().solve(config.ber, cfg.b, m_tx, 1);
+    const double ebar = energy_model().ebar(config.ber, cfg.b, m_tx, 1);
     out.miso =
         measure_waveform_ber(cfg, linear_to_db(ebar / params_.n0_w_per_hz));
   }

@@ -77,13 +77,14 @@ class OverlayRelayScheme {
       std::size_t blocks = 4000, std::uint64_t seed = 1,
       ThreadPool* pool = nullptr, std::size_t shards = 1) const;
 
+  /// The optimizer's energy model: plan() and measure_relay_waveform()
+  /// read one ē_b memo.
   [[nodiscard]] const MimoEnergyModel& energy_model() const noexcept {
-    return mimo_;
+    return optimizer_.energy_model();
   }
 
  private:
   SystemParams params_;
-  MimoEnergyModel mimo_;
   ConstellationOptimizer optimizer_;
 };
 

@@ -251,8 +251,11 @@ WaveformBerPoint measure_waveform_ber(const WaveformBerConfig& config,
                                       double gamma_b_db) {
   COMIMO_CHECK(config.blocks >= 1, "need at least one block");
   const bool adaptive_on = config.adaptive.target_rel_ci > 0.0;
-  const bool is_on =
-      adaptive_on && config.adaptive.is_mode == IsMode::kScaledNoise;
+  // IS runs only on the adaptive path; asked for without a CI target it
+  // would silently measure an untilted point instead.
+  COMIMO_CHECK(config.adaptive.is_mode == IsMode::kOff || adaptive_on,
+               "importance sampling needs target_rel_ci > 0");
+  const bool is_on = config.adaptive.is_mode == IsMode::kScaledNoise;
   const double nu = config.adaptive.is_noise_scale;
   const double lambda = config.adaptive.is_channel_scale;
   if (is_on) {

@@ -42,7 +42,9 @@ struct WaveformBerConfig {
   /// noise (CN(0, ν)) and/or the fading (CN(0, 1/λ)) with per-block
   /// likelihood weights, so deep-waterfall points resolve with orders
   /// of magnitude fewer blocks (tilt the CHANNEL for high-SNR diversity
-  /// links — see IsMode).  Results stay bit-identical at any thread
+  /// links — see IsMode).  IS requires target_rel_ci > 0:
+  /// measure_waveform_ber throws InvalidArgument for is_mode != kOff
+  /// without a CI target.  Results stay bit-identical at any thread
   /// count and across `shards` for a fixed checkpoint schedule.
   AdaptiveConfig adaptive;
 };

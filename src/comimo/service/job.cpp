@@ -1,5 +1,6 @@
 #include "comimo/service/job.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -165,17 +166,25 @@ const EbBarTable& JobRuntime::ebbar_table() {
 
 namespace {
 
-std::uint64_t get_u64(const JobSpec& spec, const std::string& key,
-                      std::uint64_t fallback) {
+/// Reads an integer param into T.  from_chars takes digits only, so a
+/// sign ("-1" would wrap under strtoull) or a blank is rejected, as are
+/// an overflow and any value T cannot hold.
+template <typename T>
+T get_int(const JobSpec& spec, const std::string& key, T fallback) {
   const auto it = spec.params.find(key);
   if (it == spec.params.end()) return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
+  const std::string& text = it->second;
+  std::uint64_t v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() ||
+      !std::in_range<T>(v)) {
     throw InvalidArgument("service: param " + key +
-                          " is not an integer: " + it->second);
+                          " is not an integer in [0, " +
+                          std::to_string(std::numeric_limits<T>::max()) +
+                          "]: " + text);
   }
-  return static_cast<std::uint64_t>(v);
+  return static_cast<T>(v);
 }
 
 double get_double(const JobSpec& spec, const std::string& key,
@@ -226,8 +235,8 @@ Json run_ping(const JobSpec& spec, unsigned threads) {
 
 Json run_ebbar_min(const JobSpec& spec, JobRuntime& rt, unsigned threads) {
   const double p = get_double(spec, "p", 0.0, /*required=*/true);
-  const auto mt = static_cast<unsigned>(get_u64(spec, "mt", 2));
-  const auto mr = static_cast<unsigned>(get_u64(spec, "mr", 2));
+  const auto mt = get_int<unsigned>(spec, "mt", 2);
+  const auto mr = get_int<unsigned>(spec, "mr", 2);
   const EbBarEntry entry = rt.ebbar_table().min_ebar_constellation(p, mt, mr);
   Json metrics = Json::object();
   metrics.set("b", entry.b);
@@ -239,12 +248,12 @@ Json run_ebbar_min(const JobSpec& spec, JobRuntime& rt, unsigned threads) {
 Json run_waveform_ber(const JobSpec& spec, std::uint64_t session_seed,
                       ThreadPool& pool) {
   WaveformBerConfig cfg;
-  cfg.b = static_cast<int>(get_u64(spec, "b", 2));
-  cfg.mt = static_cast<unsigned>(get_u64(spec, "mt", 2));
-  cfg.mr = static_cast<unsigned>(get_u64(spec, "mr", 2));
-  cfg.blocks = static_cast<std::size_t>(get_u64(spec, "blocks", 2000));
-  cfg.seed = mix_seed(session_seed, get_u64(spec, "seed", 1));
-  cfg.shards = static_cast<std::size_t>(get_u64(spec, "shards", 1));
+  cfg.b = get_int<int>(spec, "b", 2);
+  cfg.mt = get_int<unsigned>(spec, "mt", 2);
+  cfg.mr = get_int<unsigned>(spec, "mr", 2);
+  cfg.blocks = get_int<std::size_t>(spec, "blocks", 2000);
+  cfg.seed = mix_seed(session_seed, get_int<std::uint64_t>(spec, "seed", 1));
+  cfg.shards = get_int<std::size_t>(spec, "shards", 1);
   cfg.pool = &pool;
   // target_ci > 0 turns the fixed-blocks point into a precision-
   // targeted one (mc/adaptive.h): blocks becomes the trial budget and
@@ -254,9 +263,10 @@ Json run_waveform_ber(const JobSpec& spec, std::uint64_t session_seed,
   // and spec) is preserved.  is=1 adds the scaled-variance importance
   // sampler for rare-event points (is_scale overrides the noise tilt ν,
   // is_chan the fade tilt λ — tilt the channel for high-SNR diversity
-  // links, see IsMode).
+  // links, see IsMode); without target_ci it is an error, not a silently
+  // untilted point.
   cfg.adaptive.target_rel_ci = get_double(spec, "target_ci", 0.0);
-  if (get_u64(spec, "is", 0) != 0) {
+  if (get_int<unsigned>(spec, "is", 0) != 0) {
     cfg.adaptive.is_mode = IsMode::kScaledNoise;
     cfg.adaptive.is_noise_scale = get_double(spec, "is_scale", 2.0);
     cfg.adaptive.is_channel_scale = get_double(spec, "is_chan", 1.0);
@@ -282,11 +292,11 @@ Json run_waveform_ber(const JobSpec& spec, std::uint64_t session_seed,
 Json run_net_churn(const JobSpec& spec, std::uint64_t session_seed,
                    ThreadPool& pool) {
   (void)pool;  // the net layer uses the shared pool deterministically
-  const auto n = static_cast<std::size_t>(get_u64(spec, "nodes", 400));
-  const auto rounds = static_cast<std::size_t>(get_u64(spec, "rounds", 10));
-  const auto kill_per_round =
-      static_cast<std::size_t>(get_u64(spec, "kill_per_round", 10));
-  const std::uint64_t seed = mix_seed(session_seed, get_u64(spec, "seed", 1));
+  const auto n = get_int<std::size_t>(spec, "nodes", 400);
+  const auto rounds = get_int<std::size_t>(spec, "rounds", 10);
+  const auto kill_per_round = get_int<std::size_t>(spec, "kill_per_round", 10);
+  const std::uint64_t seed =
+      mix_seed(session_seed, get_int<std::uint64_t>(spec, "seed", 1));
   COMIMO_CHECK(n >= 2 && n <= 200000, "net_churn: nodes out of range");
 
   CoMimoNet net(random_field(n, 500.0, 500.0, seed), CoMimoNetConfig{});
@@ -314,7 +324,7 @@ Json run_net_churn(const JobSpec& spec, std::uint64_t session_seed,
 
 Json run_stall(const JobSpec& spec, unsigned threads) {
   const std::uint64_t ms = std::min<std::uint64_t>(
-      get_u64(spec, "ms", 50), 10000);
+      get_int<std::uint64_t>(spec, "ms", 50), 10000);
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   Json metrics = Json::object();
   metrics.set("stalled_ms", ms);

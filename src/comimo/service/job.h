@@ -20,13 +20,20 @@
 //     carry wall-clock state.  The committed BENCH_service_load.json
 //     written by the load generator keeps the full schema.
 //
+// Integer params are plain decimal digits: a sign, an overflow or a
+// value the destination type cannot hold is an InvalidArgument, never a
+// wrapped count.
+//
 // Job kinds:
 //   ping          -> {ok: 1}                       (liveness / ordering)
 //   ebbar_min     -> min-ē_b constellation from the daemon's cached
 //                    EbBarTable; params p (BER target), mt, mr
 //   waveform_ber  -> one Monte-Carlo waveform BER point; params b, mt,
 //                    mr, blocks, gamma_b_db, seed, shards (shards > 1
-//                    exercises the fork path under the daemon)
+//                    exercises the fork path under the daemon),
+//                    target_ci (> 0 stops at that relative CI, with
+//                    blocks as the budget), and is, is_scale, is_chan
+//                    (importance sampling; is=1 requires target_ci > 0)
 //   net_churn     -> build a random CoMIMONet and run kill waves
 //                    through the incremental re-clustering; params
 //                    nodes, rounds, kill_per_round, seed

@@ -42,11 +42,11 @@ UnderlayCooperativeHop::UnderlayCooperativeHop(const SystemParams& params)
     : params_(params), local_(params), mimo_(params) {}
 
 UnderlayHopPlan UnderlayCooperativeHop::plan_with_b(
-    const UnderlayHopConfig& config, int b) const {
+    const UnderlayHopConfig& config, int b, double ebar) const {
   UnderlayHopPlan p;
   p.config = config;
   p.b = b;
-  p.ebar = mimo_.solver().solve(config.ber, b, config.mt, config.mr);
+  p.ebar = ebar;
   p.local_tx_pa =
       local_.pa_energy(b, config.ber, config.cluster_diameter_m);
   p.local_tx_circuit = local_.tx_circuit_energy(b, config.bandwidth_hz);
@@ -63,16 +63,14 @@ UnderlayHopPlan UnderlayCooperativeHop::plan(const UnderlayHopConfig& config,
   COMIMO_CHECK(config.mt >= 1 && config.mr >= 1, "need >= 1 node per side");
   COMIMO_CHECK(config.hop_distance_m > 0.0, "hop distance must be positive");
   COMIMO_CHECK(config.cluster_diameter_m >= 0.0, "negative cluster diameter");
+  // Algorithm 2's table: every b's ē_b in one memo read.
+  const EbBarRow row = mimo_.ebar_row(config.ber, config.mt, config.mr);
   UnderlayHopPlan best;
   double best_score = std::numeric_limits<double>::infinity();
   bool found = false;
   for (int b = kMinConstellationBits; b <= kMaxConstellationBits; ++b) {
-    UnderlayHopPlan candidate;
-    try {
-      candidate = plan_with_b(config, b);
-    } catch (const NumericError&) {
-      continue;  // BER target unreachable at this b
-    }
+    if (!row.reachable(b)) continue;  // BER target unreachable at this b
+    const UnderlayHopPlan candidate = plan_with_b(config, b, row.at(b));
     double score = 0.0;
     switch (rule) {
       case BSelectionRule::kMinEbar:

@@ -69,8 +69,13 @@ class UnderlayCooperativeHop {
  public:
   explicit UnderlayCooperativeHop(const SystemParams& params = {});
 
-  /// Plans the hop; b is selected by `rule` over [b_min, b_max].  The
-  /// ablation bench compares the rules.
+  /// Plans the hop; b is selected by `rule` over [kMinConstellationBits,
+  /// kMaxConstellationBits], skipping every b at which the BER target is
+  /// unreachable.  The ē_b values come from one read of the energy
+  /// model's memo (MimoEnergyModel::ebar_row), so a planner solves each
+  /// (p, mt, mr) once however many hops it plans, and one planner may
+  /// plan on many threads at once.  The ablation bench compares the
+  /// rules.
   [[nodiscard]] UnderlayHopPlan plan(
       const UnderlayHopConfig& config,
       BSelectionRule rule = BSelectionRule::kMinTotalPa) const;
@@ -89,7 +94,7 @@ class UnderlayCooperativeHop {
 
  private:
   [[nodiscard]] UnderlayHopPlan plan_with_b(const UnderlayHopConfig& config,
-                                            int b) const;
+                                            int b, double ebar) const;
 
   SystemParams params_;
   LocalEnergyModel local_;

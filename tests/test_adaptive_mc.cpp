@@ -362,5 +362,25 @@ TEST(ImportanceSampling, RejectsScalesBelowOneOrNotFinite) {
   EXPECT_NO_THROW((void)measure_waveform_ber(off, 6.0));
 }
 
+TEST(ImportanceSampling, RequiresCiTarget) {
+  // IS runs only on the adaptive path.  Asked for without a CI target,
+  // the point used to come back untilted, "ber": 0 at a deep point,
+  // with no IS fields; it must be an InvalidArgument instead.
+  WaveformBerConfig cfg;
+  cfg.b = 1;
+  cfg.mt = 2;
+  cfg.mr = 2;
+  cfg.blocks = 64;
+  cfg.adaptive.is_mode = IsMode::kScaledNoise;
+  cfg.adaptive.is_channel_scale = 3.0;
+  for (const double target : {0.0, -0.1}) {
+    cfg.adaptive.target_rel_ci = target;
+    EXPECT_THROW((void)measure_waveform_ber(cfg, 12.0), InvalidArgument)
+        << "target_rel_ci " << target;
+  }
+  cfg.adaptive.target_rel_ci = 0.2;
+  EXPECT_NO_THROW((void)measure_waveform_ber(cfg, 12.0));
+}
+
 }  // namespace
 }  // namespace comimo

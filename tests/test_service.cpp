@@ -402,5 +402,80 @@ TEST(Service, WaveformBerJobRejectsIsScaleBelowOne) {
                InvalidArgument);
 }
 
+TEST(Service, WaveformBerJobWithIsButNoCiTargetGetsAnErrorReply) {
+  // is=1 without target_ci used to reply a plain untilted point
+  // ("ber": 0 at this deep point) with no IS fields.
+  if (!sockets_available()) GTEST_SKIP() << "no AF_UNIX sockets";
+  ServiceDaemon daemon(test_config("is_no_ci"));
+  ServiceClient client(daemon.config().socket_path, 9);
+  const auto reply = client.call(JobSpec{
+      "waveform_ber",
+      {{"blocks", "4000"}, {"is", "1"}, {"is_chan", "3"},
+       {"gamma_b_db", "12"}}});
+  EXPECT_EQ(reply.type, FrameType::kError) << reply.body;
+  EXPECT_NE(reply.body.find("target_rel_ci"), std::string::npos)
+      << reply.body;
+}
+
+// Integer params used to go through strtoull and an unchecked cast: a
+// count above the destination type wrapped, and "-1" read as 2^64 - 1.
+// Each of the three jobs below returned a result.
+
+TEST(Service, WaveformBerJobRejectsMtThatWrapsToTwo) {
+  // 4294967298 = 2^32 + 2 ran as a 2x2 job.
+  JobRuntime rt(tiny_ebbar_spec());
+  ThreadPool pool(1);
+  const JobSpec spec{"waveform_ber",
+                     {{"blocks", "64"}, {"mt", "4294967298"}}};
+  EXPECT_THROW((void)run_job(spec, 9, rt, pool), InvalidArgument);
+}
+
+TEST(Service, EbBarMinJobRejectsMtThatWrapsToTwo) {
+  // Answered for 2x2.
+  JobRuntime rt(tiny_ebbar_spec());
+  ThreadPool pool(1);
+  const JobSpec spec{"ebbar_min", {{"p", "0.001"}, {"mt", "4294967298"}}};
+  EXPECT_THROW((void)run_job(spec, 9, rt, pool), InvalidArgument);
+}
+
+TEST(Service, NetChurnJobRejectsNegativeKillCount) {
+  // -1 read as 2^64 - 1 and killed all but one node per round.
+  JobRuntime rt(tiny_ebbar_spec());
+  ThreadPool pool(1);
+  const JobSpec spec{"net_churn",
+                     {{"nodes", "60"}, {"rounds", "2"},
+                      {"kill_per_round", "-1"}}};
+  EXPECT_THROW((void)run_job(spec, 9, rt, pool), InvalidArgument);
+}
+
+TEST(Service, IntegerParamsRejectSignsOverflowAndNarrowing) {
+  JobRuntime rt(tiny_ebbar_spec());
+  ThreadPool pool(1);
+  const auto ebbar_min_with = [](const std::string& key,
+                                 const std::string& value) {
+    JobSpec spec{"ebbar_min", {{"p", "0.001"}}};
+    spec.params[key] = value;
+    return spec;
+  };
+  for (const char* bad : {"-1", "+2", " 2", "2 ", "", "0x2", "2.0",
+                          "18446744073709551616", "4294967296"}) {
+    EXPECT_THROW((void)run_job(ebbar_min_with("mt", bad), 9, rt, pool),
+                 InvalidArgument)
+        << "mt=" << bad;
+  }
+  // b lands in an int: 2^31 no longer wraps to a negative constellation.
+  const JobSpec wide_b{"waveform_ber", {{"blocks", "64"}, {"b", "2147483648"}}};
+  EXPECT_THROW((void)run_job(wide_b, 9, rt, pool), InvalidArgument);
+  // A seed may use the full 64 bits; 2^64 overflows.
+  const JobSpec max_seed{"net_churn", {{"nodes", "60"}, {"rounds", "1"},
+                                       {"seed", "18446744073709551615"}}};
+  EXPECT_NO_THROW((void)run_job(max_seed, 9, rt, pool));
+  JobSpec over_seed = max_seed;
+  over_seed.params["seed"] = "18446744073709551616";
+  EXPECT_THROW((void)run_job(over_seed, 9, rt, pool), InvalidArgument);
+  // Plain digits, leading zeros included, still parse.
+  EXPECT_NO_THROW((void)run_job(ebbar_min_with("mt", "02"), 9, rt, pool));
+}
+
 }  // namespace
 }  // namespace comimo::service
