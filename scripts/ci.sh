@@ -71,7 +71,9 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # Gaussian elimination shows up here, not in release runs.
 # SpatialIndex/SpatialGrid/NetworkFuzz exercise the grid walk, the
 # tombstone removal and the incremental re-clustering splice — the
-# pointer-heavy paths where OOB would hide.  Service/ServiceWire drive
+# pointer-heavy paths where OOB would hide; Recluster adds the
+# locality pins and mid-size waves that reach the copy-or-dissolve
+# branch of the re-clustering sweep.  Service/ServiceWire drive
 # the daemon (sessions, backpressure, vanished clients) and ForkSafety
 # the quiesce-and-fork shard driver — the lifetime bugs this sweep
 # exists for surface as ASan/UBSan reports here.  McEngine, AdaptiveMc
@@ -83,7 +85,7 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # stack use-after-free when it was racy).  EbBarMemoOracle checks the
 # memoized hop planner against the per-b solve loop on route reports.
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle' \
+  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Recluster|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle' \
   -j "$(nproc)"
 
 echo "== thread pool under ThreadSanitizer =="

@@ -308,10 +308,11 @@ void CoMimoNet::remove_nodes(const std::vector<NodeId>& ids) {
                   members.end());
   }
 
-  // Greedy re-clustering of the suffix with fast-forward convergence:
-  // a min-heap of freed node indices tracks the "free agents"; when it
-  // drains, the remaining pool is exactly the union of untouched old
-  // clusters, so they copy verbatim until the next dead seed.
+  // Greedy re-clustering of the suffix.  A min-heap of freed node
+  // indices tracks the "free agents"; an old cluster is dissolved into
+  // it only when the greedy cannot re-form it verbatim (its seed died,
+  // a free agent's cluster steals a member, or a free agent lies within
+  // reach of its seed), and copies otherwise.
   std::vector<Cluster> suffix;
   std::vector<std::size_t> suffix_old_id;  // old id, or old_k if newly formed
   std::vector<bool> dissolved(old_k, false);
@@ -348,32 +349,43 @@ void CoMimoNet::remove_nodes(const std::vector<NodeId>& ids) {
     while (!heap.empty() && state[heap.top()] != kPending) heap.pop();
     if (heap.empty() && o == old_k) break;
 
-    if (heap.empty()) {
-      // Fast-forward: no free agents pending, so the next greedy seed
-      // is this cluster's own seed and it re-absorbs exactly its alive
-      // members.
-      Cluster nc;
-      nc.head = clusters_[o].head;
-      for (const NodeId m : clusters_[o].members) {
-        const std::size_t idx = node_index_[m];
-        if (state[idx] == kDead) continue;
-        state[idx] = kDone;
-        nc.members.push_back(m);
-      }
-      suffix_old_id.push_back(o);
-      suffix.push_back(std::move(nc));
-      ++o;
-      continue;
-    }
-
     // Next greedy seed: the smallest unassigned index, which is the
     // heap minimum or the first untouched cluster's seed (members of
     // later untouched clusters all have larger indices).
-    std::size_t s = heap.top();
+    std::size_t s = heap.empty() ? n : heap.top();
     if (o < old_k) {
       const std::size_t old_seed =
           node_index_[clusters_[o].members.front()];
       if (old_seed < s) {
+        // Cluster o's seed is next.  The greedy absorbs o's alive
+        // members, every pending agent within d/2 of the seed, and no
+        // untouched member of a later cluster: the original greedy
+        // formed o first and would have given it to o.  So o re-forms
+        // verbatim unless a pending agent lies within d/2 — tested with
+        // the absorb step's own exact `distance <= d/2` predicate.
+        const bool absorbs_agent =
+            !heap.empty() &&
+            node_grid_.any_within(nodes_[old_seed].position, d / 2.0,
+                                  [&](std::uint32_t id) {
+                                    return state[node_index_[id]] ==
+                                           kPending;
+                                  });
+        if (!absorbs_agent) {
+          Cluster nc;
+          nc.members = std::move(clusters_[o].members);
+          std::size_t alive = 0;
+          for (const NodeId m : nc.members) {
+            const std::size_t idx = node_index_[m];
+            if (state[idx] == kDead) continue;
+            state[idx] = kDone;
+            nc.members[alive++] = m;
+          }
+          nc.members.resize(alive);
+          suffix_old_id.push_back(o);
+          suffix.push_back(std::move(nc));
+          ++o;
+          continue;
+        }
         dissolve(o);
         ++o;
         s = old_seed;

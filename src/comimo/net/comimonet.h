@@ -91,11 +91,17 @@ class CoMimoNet {
   /// In kGrid mode this is incremental: clusters formed before the
   /// first dead *seed* are kept (trimmed of their own dead members —
   /// a dead non-seed member never changes any other absorb decision),
-  /// and only the suffix re-runs greedy absorption, fast-forwarding
-  /// back to verbatim cluster copies as soon as the free-agent pool
-  /// drains.  Links between untouched clusters keep their cached gap
-  /// values.  In kReference mode it simply rebuilds from scratch.
-  /// Ids not present are ignored; at least one node must survive.
+  /// and only the suffix re-runs greedy absorption.  Members of
+  /// dissolved clusters become free agents.  When an old cluster's seed
+  /// is the next greedy seed, the greedy can absorb only its alive
+  /// members, free agents within d/2 of the seed, and untouched
+  /// members of later clusters — none, since the original greedy would
+  /// have given them to this cluster.  So the cluster is copied
+  /// verbatim unless a free agent lies within d/2 of its seed, and a
+  /// wave dissolves clusters only where a freed SU can reach.  Links
+  /// between unchanged clusters keep their cached gap values.  In
+  /// kReference mode it simply rebuilds from scratch.  Ids not present
+  /// are ignored; at least one node must survive.
   void remove_nodes(const std::vector<NodeId>& ids);
 
   /// Approximate heap footprint of the network representation in bytes

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -198,9 +199,11 @@ double get_double(const JobSpec& spec, const std::string& key,
   }
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
+  // strtod also accepts "inf", "nan" and overflowing literals; none is
+  // a usable parameter.
+  if (end == it->second.c_str() || *end != '\0' || !std::isfinite(v)) {
     throw InvalidArgument("service: param " + key +
-                          " is not a number: " + it->second);
+                          " is not a finite number: " + it->second);
   }
   return v;
 }

@@ -22,7 +22,8 @@
 //
 // Integer params are plain decimal digits: a sign, an overflow or a
 // value the destination type cannot hold is an InvalidArgument, never a
-// wrapped count.
+// wrapped count.  Real params must be finite: "inf", "nan" and literals
+// that overflow a double are an InvalidArgument too.
 //
 // Job kinds:
 //   ping          -> {ok: 1}                       (liveness / ordering)

@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
+#include <string>
 
 #include "comimo/net/comimonet.h"
 #include "comimo/net/routing.h"
 #include "comimo/net/spanning_tree.h"
+#include "comimo/numeric/rng.h"
+#include "comimo/obs/metrics.h"
+#include "net_equality.h"
 
 namespace comimo {
 namespace {
@@ -75,6 +80,43 @@ TEST(NetScale, MillionNodesAdmittedAndIncrementallyRecustered) {
   net.remove_nodes(kill);
   EXPECT_EQ(net.nodes().size(), n - kill.size());
   ASSERT_TRUE(net.validate());
+}
+
+// The perfbench `net` workload's kill scenario: five waves of 2 000
+// distinct SUs on the 10⁵-SU field.  After every wave the incremental
+// net must equal a from-scratch build, and the wave may dissolve no
+// more clusters than it kills SUs (it used to dissolve 10 347–32 764 of
+// about 33 000).
+TEST(NetScale, PerfbenchKillWavesMatchRebuildAndStayLocal) {
+  COMIMO_REQUIRE_NETSCALE();
+  const std::size_t n = 100'000;
+  const CoMimoNetConfig cfg = scale_config();
+  CoMimoNet net(scale_field(n, 42), cfg);
+
+  // perfbench's victim stream: derive_seed(42, 302).
+  std::uint64_t state = 42 ^ (0x9e3779b97f4a7c15ULL * 303);
+  (void)splitmix64(state);
+  Rng kill(splitmix64(state));
+  std::set<NodeId> dead;
+  obs::set_enabled(true);
+  const obs::Counter dissolved =
+      obs::MetricRegistry::global().counter("net.clusters_dissolved");
+  for (int w = 0; w < 5; ++w) {
+    std::vector<NodeId> wave;
+    while (wave.size() < 2000) {
+      const auto id = static_cast<NodeId>(kill.uniform_int(n));
+      if (dead.insert(id).second) wave.push_back(id);
+    }
+    const std::uint64_t before = dissolved.value();
+    net.remove_nodes(wave);
+    if (obs::enabled()) {  // false when obs is compiled out
+      EXPECT_LE(dissolved.value() - before, wave.size()) << "wave " << w;
+    }
+    expect_same_net(net, CoMimoNet(net.nodes(), cfg),
+                    "wave " + std::to_string(w));
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  obs::set_enabled(false);
 }
 
 // At a mid scale the grid engine must still match the O(n²) reference

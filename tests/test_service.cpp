@@ -477,5 +477,40 @@ TEST(Service, IntegerParamsRejectSignsOverflowAndNarrowing) {
   EXPECT_NO_THROW((void)run_job(ebbar_min_with("mt", "02"), 9, rt, pool));
 }
 
+// Double params went through strtod unchecked, so "inf" and "nan" (and
+// overflowing literals, which strtod turns into inf) reached the engine.
+
+TEST(Service, WaveformBerJobRejectsInfiniteGammaB) {
+  // gamma_b_db=inf replied a BER of 0.52 with a null analytic BER.
+  JobRuntime rt(tiny_ebbar_spec());
+  ThreadPool pool(1);
+  for (const char* bad : {"inf", "-inf", "INFINITY", "1e999"}) {
+    const JobSpec spec{"waveform_ber",
+                       {{"blocks", "64"}, {"gamma_b_db", bad}}};
+    EXPECT_THROW((void)run_job(spec, 9, rt, pool), InvalidArgument)
+        << "gamma_b_db=" << bad;
+  }
+}
+
+TEST(Service, EbBarMinJobRejectsInfiniteTarget) {
+  // p=inf replied b: 1 with an e_b and a null p grid.
+  JobRuntime rt(tiny_ebbar_spec());
+  ThreadPool pool(1);
+  const JobSpec spec{"ebbar_min", {{"p", "inf"}}};
+  EXPECT_THROW((void)run_job(spec, 9, rt, pool), InvalidArgument);
+}
+
+TEST(Service, WaveformBerJobRejectsNanCiTarget) {
+  // target_ci=nan silently ran the fixed-budget path.
+  JobRuntime rt(tiny_ebbar_spec());
+  ThreadPool pool(1);
+  for (const char* bad : {"nan", "-nan", "NAN"}) {
+    const JobSpec spec{"waveform_ber",
+                       {{"blocks", "64"}, {"target_ci", bad}}};
+    EXPECT_THROW((void)run_job(spec, 9, rt, pool), InvalidArgument)
+        << "target_ci=" << bad;
+  }
+}
+
 }  // namespace
 }  // namespace comimo::service
