@@ -3,7 +3,9 @@
 #   1. every bench binary accepts --json <path> and writes valid JSON;
 #   2. comimo-bench-v1 emitters carry the required fields, including a
 #      system-clock timestamp_unix_s (wall_s is steady_clock and cannot
-#      date a committed run);
+#      date a committed run) and, on every envelope emitted here, the
+#      active SIMD tier and its lane count (simd_tier, simd_lanes; the
+#      committed artifacts that predate them are not held to these two);
 #   3. for the engine-backed benches (run with --obs), both the per-
 #      record `metrics` objects AND the envelope-level deterministic
 #      `metrics` block are identical between a serial run and a
@@ -71,6 +73,21 @@ for r in d["records"]:
 EOF
 }
 
+# validate_v1 plus what every envelope written by this build records:
+# the SIMD tier its kernels ran on.
+validate_fresh() {
+  validate_v1 "$1" && python3 - "$1" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    d = json.load(f)
+tier = d.get("simd_tier")
+assert isinstance(tier, str) and tier, f"simd_tier missing: {tier!r}"
+lanes = d.get("simd_lanes")
+assert isinstance(lanes, int) and not isinstance(lanes, bool) \
+    and lanes >= 1, f"simd_lanes missing or not a lane count: {lanes!r}"
+EOF
+}
+
 diff_metrics() {
   python3 - "$1" "$2" <<'EOF'
 import json, sys
@@ -101,7 +118,7 @@ for bench in "${DETERMINISM_BENCHES[@]}"; do
       > /dev/null 2>&1; then
     echo "RUN FAIL $bench (--threads 4)"; fail=1; continue
   fi
-  if ! validate_v1 "$OUT_DIR/$bench.serial.json"; then
+  if ! validate_fresh "$OUT_DIR/$bench.serial.json"; then
     echo "SCHEMA   $bench"; fail=1; continue
   fi
   if ! diff_metrics "$OUT_DIR/$bench.serial.json" "$OUT_DIR/$bench.par.json"
@@ -117,7 +134,7 @@ for bench in "${SCHEMA_ONLY_BENCHES[@]}"; do
   if ! "$bin" --json "$OUT_DIR/$bench.json" > /dev/null 2>&1; then
     echo "RUN FAIL $bench"; fail=1; continue
   fi
-  if ! validate_v1 "$OUT_DIR/$bench.json"; then
+  if ! validate_fresh "$OUT_DIR/$bench.json"; then
     echo "SCHEMA   $bench"; fail=1; continue
   fi
   echo "OK       $bench (schema)"
@@ -131,7 +148,7 @@ done
 if [ -x "$BENCH_DIR/perf_kernels" ]; then
   if "$BENCH_DIR/perf_kernels" --json "$OUT_DIR/perf_kernels.json" \
       --trials 2000 > /dev/null 2>&1 \
-    && validate_v1 "$OUT_DIR/perf_kernels.json" \
+    && validate_fresh "$OUT_DIR/perf_kernels.json" \
     && python3 -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -220,7 +237,7 @@ assert a == b, "--shards 1 vs --shards 4 envelopes diverge"' \
       "$OUT_DIR/shards1.json" "$OUT_DIR/shards4.json" \
     && "$BENCH_DIR/mc_engine_speedup" --trials 1000 --shards 2 \
       --json "$OUT_DIR/shards2.json" > /dev/null 2>&1 \
-    && validate_v1 "$OUT_DIR/shards2.json"
+    && validate_fresh "$OUT_DIR/shards2.json"
   then
     echo "OK       mc_engine_speedup (--shards 4 bit-identical to --shards 1)"
   else
@@ -243,7 +260,7 @@ if [ -x "$BENCH_DIR/adaptive_mc" ]; then
       --json "$OUT_DIR/adaptive1.json" > /dev/null 2>&1 \
     && "$BENCH_DIR/adaptive_mc" --trials 20000 --threads 4 \
       --json "$OUT_DIR/adaptive4.json" > /dev/null 2>&1 \
-    && validate_v1 "$OUT_DIR/adaptive1.json" \
+    && validate_fresh "$OUT_DIR/adaptive1.json" \
     && python3 -c '
 import json, sys
 KEYS = ("trials_executed", "trials_saved", "checkpoints", "target_met",
@@ -280,7 +297,7 @@ fi
 if [ -x "$BENCH_DIR/net_scale" ]; then
   if "$BENCH_DIR/net_scale" --trials 20000 \
       --json "$OUT_DIR/net_scale.json" > /dev/null 2>&1 \
-    && validate_v1 "$OUT_DIR/net_scale.json" \
+    && validate_fresh "$OUT_DIR/net_scale.json" \
     && python3 -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -489,7 +506,7 @@ EOF
 if [ -x "$BENCH_DIR/service_load" ]; then
   if "$BENCH_DIR/service_load" --trials 8 \
       --json "$OUT_DIR/service_load.json" > /dev/null 2>&1 \
-    && validate_v1 "$OUT_DIR/service_load.json" \
+    && validate_fresh "$OUT_DIR/service_load.json" \
     && service_load_gate "$OUT_DIR/service_load.json"
   then
     echo "OK       service_load (schema + admission accounting + replay)"

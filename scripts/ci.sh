@@ -53,9 +53,10 @@ cmake --build "$NOSIMD_DIR" -j "$(nproc)"
 # the measure_waveform_ber pins), the batch layer must degenerate
 # cleanly to width 1, the MC driver's width-1 path must keep every
 # McEngine invariance, and the workspace and waveform paths must be
-# untouched.
+# untouched.  The certified Table 4 receiver and its noise bounds draw
+# through the same Box-Muller as the batch kernels.
 ctest --test-dir "$NOSIMD_DIR" --output-on-failure \
-  -R 'Golden|Simd|AlignedAlloc|LinkWorkspace|HopBatch|Waveform|Galois|Rlnc|SpatialIndex|SpatialGrid|NetworkFuzz|AdaptiveMc|ImportanceSampling|McEngine' \
+  -R 'Golden|Simd|AlignedAlloc|LinkWorkspace|HopBatch|Waveform|Galois|Rlnc|SpatialIndex|SpatialGrid|NetworkFuzz|AdaptiveMc|ImportanceSampling|McEngine|UnderlayReceive|GmskPatternMargins|NoiseBounds' \
   -j "$(nproc)"
 
 echo "== workspace, simd batch + coding kernels under ASan + UBSan =="
@@ -84,8 +85,10 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # the many-callers stress test of the pool's completion hand-off (a
 # stack use-after-free when it was racy).  EbBarMemoOracle checks the
 # memoized hop planner against the per-b solve loop on route reports.
+# UnderlayReceive, GmskPatternMargins and NoiseBounds drive the
+# certified Table 4 receiver's grid walk, pattern tables and bounds.
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Recluster|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle' \
+  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Recluster|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle|UnderlayReceive|GmskPatternMargins|NoiseBounds' \
   -j "$(nproc)"
 
 echo "== thread pool under ThreadSanitizer =="

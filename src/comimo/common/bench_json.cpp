@@ -235,6 +235,8 @@ void BenchReporter::write(std::ostream& os) const {
   root.set("bench", bench_name_);
   root.set("threads", threads_);
   root.set("hardware_concurrency", std::thread::hardware_concurrency());
+  root.set("simd_tier", simd::tier_name(simd::active_tier()));
+  root.set("simd_lanes", simd::batch_width());
   root.set("timestamp_unix_s", timestamp_unix_s());
   root.set("wall_s", monotonic_s() - start_monotonic_s_);
   Json records = Json::array();

@@ -12,6 +12,8 @@
 //                              the host — lets artifact gates skip
 //                              multi-core speedup assertions on 1-core
 //                              containers>,
+//     "simd_tier": <simd::tier_name() of the active kernel tier>,
+//     "simd_lanes": <simd::batch_width(): the active tier's lanes>,
 //     "timestamp_unix_s": <system_clock seconds at write — dates a
 //                          committed BENCH_*.json run; wall_s cannot,
 //                          it is steady_clock with a boot epoch>,

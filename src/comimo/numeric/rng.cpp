@@ -14,34 +14,12 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) noexcept {
   // Mix the stream id into the seed expansion so streams decorrelate.
   std::uint64_t sm = seed ^ (0x6a09e667f3bcc909ULL + stream * 0x9e3779b97f4a7c15ULL);
   for (auto& word : s_) word = splitmix64(sm);
   // Avoid the all-zero state (probability ~2^-256, but cheap to guard).
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-void Rng::discard(std::uint64_t n) noexcept {
-  for (; n > 0; --n) (void)next();
 }
 
 double Rng::uniform() noexcept {
@@ -76,14 +54,12 @@ double Rng::gaussian() noexcept {
     has_spare_ = false;
     return spare_;
   }
-  // Box–Muller on (0,1] uniforms to avoid log(0).
-  double u1 = 1.0 - uniform();
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * kPi * u2;
-  spare_ = r * std::sin(theta);
+  const std::uint64_t w1 = next();
+  const std::uint64_t w2 = next();
+  const GaussianPair z = box_muller(w1, w2);
+  spare_ = z.second;
   has_spare_ = true;
-  return r * std::cos(theta);
+  return z.first;
 }
 
 double Rng::gaussian(double mean, double stddev) noexcept {

@@ -15,6 +15,13 @@ namespace {
 // phase-step table may hold.
 constexpr std::size_t kMaxPhaseSteps = std::size_t{1} << 16;
 
+// What a pattern's margin leaves for rounding, as a fraction of |h|²
+// once the caller scales it by the gain: glibc's ≤ 1-ulp sin/cos (and
+// the noise's log/sqrt), the complex products, and the phase's drift
+// from the pattern's own step sum.  The drift is at most sps·ulp(|φ|)
+// ≤ 2⁻³⁰ below the phase limit; the rest is a few ulps.
+constexpr double kMarginSlack = 1e-6;
+
 // modulate()'s phase advance at sample r of a symbol period.  The
 // frequency sums tap d·sps + r of the bits aged d_hi down to d_lo (age d
 // = d symbols older; oldest first, i.e. ascending bit order, the order
@@ -66,7 +73,7 @@ GmskModem::GmskModem(const GmskConfig& config) : config_(config) {
   const double scale = 0.5 / sum;
   for (auto& v : pulse_) v *= scale;
 
-  // modulate_grid() reads a symbol period's phase steps from here when
+  // GmskGridWalk reads a symbol period's phase steps from here when
   // all span + 1 bits of its window exist: row w holds bit d of w as the
   // bit d symbols older.  The taps end at span·sps, so the oldest bit
   // reaches only r = 0.  Pulses too long to tabulate are summed per
@@ -81,6 +88,27 @@ GmskModem::GmskModem(const GmskConfig& config) : config_(config) {
                        [w](std::size_t d) { return (w >> d) & 1; });
       }
     }
+
+    // Decision k's sps steps start at residue r0 of period m −
+    // decision_lag_ and end in period m, that of grid sample k + 1; their
+    // windows cover bits m − span − decision_lag_ … m.  A pattern holds
+    // those bits as the windows do (bit d: the bit d periods older than
+    // m), and its row records the sign and size of sin Δ.  Below the
+    // phase limit, sps·ulp(|φ|) ≤ 2⁻³⁰.
+    const std::size_t r0 = (detector_grid(0).first + 1) % sps;
+    decision_lag_ = r0 > 0 ? 1 : 0;
+    decisions_.resize(std::size_t{1} << (span + 1 + decision_lag_));
+    for (std::size_t p = 0; p < decisions_.size(); ++p) {
+      double delta = 0.0;
+      for (std::size_t s = r0; s < r0 + sps; ++s) {
+        const std::size_t age = decision_lag_ - s / sps;  // periods before m
+        delta += phase_steps_[((p >> age) & (windows - 1)) * sps + s % sps];
+      }
+      const double sin_delta = std::sin(delta);
+      decisions_[p] = {std::max(0.0, std::abs(sin_delta) - kMarginSlack),
+                       sin_delta > 0.0 ? std::uint8_t{1} : std::uint8_t{0}};
+    }
+    phase_limit_ = 0x1.0p21 / static_cast<double>(sps);
   }
 }
 
@@ -147,57 +175,36 @@ BitVec GmskModem::demodulate(std::span<const cplx> samples,
   return bits;
 }
 
-void GmskModem::modulate_grid(std::span<const std::uint8_t> bits,
-                              std::vector<cplx>& out) const {
+void GmskModem::period_steps(std::span<const std::uint8_t> bits,
+                             std::size_t m, double* steps) const {
   const std::size_t sps = config_.samples_per_symbol;
   const std::size_t span = config_.pulse_span_symbols;
   const std::size_t n = bits.size();
-  const GmskDetectorGrid grid = detector_grid(n);
-  out.resize(grid.count);
-
-  // modulate() rounds in two fixed orders: each sample's frequency sums
-  // the bits' pulse taps in ascending bit order, and the phase sums the
-  // steps sample by sample.  Both are kept; only cos/sin and the output
-  // are limited to the grid, and nothing after its last sample is done.
+  // Near the frame's ends only bits m − d with d in [d_lo, d_hi] exist.
   // Sample r of symbol period m takes tap (m − k)·sps + r of bit k.
-  std::vector<double> edge_steps(sps);
-  const std::size_t window_mask = phase_steps_.size() / sps - 1;
-  std::size_t window = 0;  // bit d: bit m − d of the frame
-  double phase = 0.0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  for (std::size_t m = 0; j < grid.count; ++m) {
-    window = ((window << 1) | (m < n && bits[m] ? 1 : 0)) & window_mask;
-    const double* steps = edge_steps.data();
-    if (m >= span && m < n && !phase_steps_.empty()) {
-      steps = &phase_steps_[window * sps];
-    } else {
-      // Near the frame's ends only bits m − d with d in [d_lo, d_hi]
-      // exist.
-      const std::size_t d_lo = m >= n ? m - n + 1 : 0;
-      for (std::size_t r = 0; r < sps; ++r) {
-        const std::size_t d_hi = std::min(m, r > 0 ? span - 1 : span);
-        edge_steps[r] =
-            phase_step(pulse_, sps, r, d_lo, d_hi,
-                       [&](std::size_t d) { return bits[m - d] != 0; });
-      }
-    }
-    for (std::size_t r = 0; r < sps && j < grid.count; ++r, ++i) {
-      phase += steps[r];
-      if (i == grid.first + j * sps) {
-        out[j++] = cplx{std::cos(phase), std::sin(phase)};
-      }
-    }
+  const std::size_t d_lo = m >= n ? m - n + 1 : 0;
+  for (std::size_t r = 0; r < sps; ++r) {
+    const std::size_t d_hi = std::min(m, r > 0 ? span - 1 : span);
+    steps[r] = phase_step(pulse_, sps, r, d_lo, d_hi,
+                          [&](std::size_t d) { return bits[m - d] != 0; });
   }
 }
 
-void GmskModem::demodulate_grid(std::span<const cplx> grid, BitVec& bits) {
-  COMIMO_CHECK(!grid.empty(), "a detector grid holds at least one sample");
-  bits.resize(grid.size() - 1);
-  for (std::size_t k = 0; k < bits.size(); ++k) {
-    const cplx d = grid[k + 1] * std::conj(grid[k]);
-    bits[k] = d.imag() > 0.0 ? std::uint8_t{1} : std::uint8_t{0};
-  }
-}
+GmskGridWalk::GmskGridWalk(const GmskModem& modem,
+                           std::span<const std::uint8_t> bits)
+    : modem_(&modem),
+      bits_(bits),
+      sps_(modem.config_.samples_per_symbol),
+      span_(modem.config_.pulse_span_symbols),
+      residue_(modem.detector_grid(0).first % sps_),
+      first_period_(modem.detector_grid(0).first / sps_),
+      count_(bits.size() + 1),
+      table_(modem.phase_steps_.empty() ? nullptr
+                                        : modem.phase_steps_.data()),
+      window_mask_(modem.phase_steps_.size() / sps_ - 1),
+      lag_(modem.decision_lag_),
+      pattern_mask_(modem.decisions_.size() - 1),
+      phase_limit_(modem.phase_limit_),
+      edge_steps_(sps_) {}
 
 }  // namespace comimo

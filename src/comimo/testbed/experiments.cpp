@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "comimo/channel/awgn.h"
 #include "comimo/common/error.h"
 #include "comimo/common/units.h"
 #include "comimo/interweave/pair_beamformer.h"
+#include "comimo/obs/metrics.h"
 #include "comimo/phy/detector.h"
 #include "comimo/testbed/channel_estimator.h"
 #include "comimo/testbed/framing.h"
@@ -220,8 +222,7 @@ UnderlayPerResult run_underlay_per(const UnderlayPerConfig& cfg) {
 
   UnderlayPerResult result;
   std::vector<Packet> received;
-  std::vector<cplx> y;
-  BitVec rx_bits;
+  UnderlayRx rx;
   for (const auto& pkt : packets) {
     const BitVec tx_bits = framer.frame(pkt);
 
@@ -248,9 +249,8 @@ UnderlayPerResult run_underlay_per(const UnderlayPerConfig& cfg) {
     }
     // The differential GMSK detector needs no channel estimate (phase
     // cancels in the one-symbol difference).
-    underlay_link_on_grid(modem, tx_bits, h, noise, y);
-    GmskModem::demodulate_grid(y, rx_bits);
-    if (auto parsed = framer.parse(rx_bits)) {
+    if (auto parsed =
+            framer.parse(underlay_receive(modem, tx_bits, h, noise, rx))) {
       received.push_back(std::move(*parsed));
     }
   }
@@ -263,17 +263,100 @@ UnderlayPerResult run_underlay_per(const UnderlayPerConfig& cfg) {
   return result;
 }
 
-void underlay_link_on_grid(const GmskModem& modem,
-                           std::span<const std::uint8_t> bits, const cplx& h,
-                           AwgnChannel& noise, std::vector<cplx>& y) {
+const BitVec& underlay_receive(const GmskModem& modem,
+                               std::span<const std::uint8_t> bits,
+                               const cplx& h, AwgnChannel& noise,
+                               UnderlayRx& rx) {
+  static const obs::Counter decisions_counter =
+      obs::MetricRegistry::global().counter("testbed.underlay_decisions");
+  static const obs::Counter certified_counter =
+      obs::MetricRegistry::global().counter("testbed.underlay_certified");
   const GmskDetectorGrid grid = modem.detector_grid(bits.size());
-  modem.modulate_grid(bits, y);
-  noise.skip(grid.first);
-  for (std::size_t j = 0; j < grid.count; ++j) {
-    if (j > 0) noise.skip(grid.stride - 1);
-    y[j] = h * y[j] + noise.sample();
+  const std::vector<GmskPatternDecision>& table = modem.pattern_decisions();
+
+  // Bit k is Im(y[k+1]·conj(y[k])) > 0.  Without noise that is the
+  // pattern's bit by a margin of at least |h|²·μ; noise n_k, n_{k+1}
+  // moves it by at most |h|(|n_k| + |n_{k+1}|) + |n_k|·|n_{k+1}|.  The
+  // margins' slack assumes relative rounding, which a gain that is zero,
+  // subnormal or large enough to overflow the products breaks; a
+  // pending spare ties a sample's noise to the previous sample's words.
+  // Such frames are decided exactly throughout.
+  const double hh = h.real() * h.real() + h.imag() * h.imag();
+  const bool certify = !table.empty() && !noise.spare_pending() &&
+                       hh >= std::numeric_limits<double>::min() &&
+                       hh <= 0x1.0p1000;
+  const double abs_h = std::sqrt(hh);
+  if (certify) {
+    rx.small_word.resize(table.size());
+    rx.certain.resize(table.size());
+    for (std::size_t p = 0; p < table.size(); ++p) {
+      // Both |n| ≤ t, with (|h| + t)² = |h|²(1 + μ), keep the noise term
+      // within |h|²·μ.
+      const double mu = table[p].margin;
+      const double t = abs_h * mu / (std::sqrt(1.0 + mu) + 1.0);
+      rx.small_word[p] = noise.small_noise_word(t * t);
+      rx.certain[p] = hh * mu;
+    }
+  }
+  const auto settled = [&](std::uint32_t p, std::uint64_t a,
+                           std::uint64_t b) {
+    const std::int64_t small = rx.small_word[p];
+    if (static_cast<std::int64_t>(a >> 11) <= small &&
+        static_cast<std::int64_t>(b >> 11) <= small) {
+      return true;
+    }
+    const double ra = noise.noise_bound(a);
+    const double rb = noise.noise_bound(b);
+    return abs_h * (ra + rb) + ra * rb < rx.certain[p];
+  };
+  const auto signal = [&](double phase) {
+    return h * cplx{std::cos(phase), std::sin(phase)};
+  };
+
+  rx.bits.resize(bits.size());
+  rx.certified = 0;
+  GmskGridWalk walk(modem, bits);
+  NoiseWords prev_words;
+  NoiseWords words;
+  double prev_phase = 0.0;
+  cplx prev_y;
+  cplx y;
+  bool prev_known = false;
+  for (std::size_t j = 0; walk.next(); ++j) {
+    noise.skip(j == 0 ? grid.first : grid.stride - 1);
+    bool known = !certify;
+    if (certify) {
+      words = noise.draw_words();
+    } else {
+      y = signal(walk.phase()) + noise.sample();
+    }
+    if (j > 0) {
+      const std::uint32_t p =
+          certify ? walk.pattern() : GmskGridWalk::kNoPattern;
+      if (p != GmskGridWalk::kNoPattern &&
+          settled(p, prev_words.w1, words.w1)) {
+        rx.bits[j - 1] = table[p].bit;
+        ++rx.certified;
+      } else {
+        if (!prev_known) {
+          prev_y = signal(prev_phase) + noise.sample_from(prev_words);
+        }
+        if (!known) y = signal(walk.phase()) + noise.sample_from(words);
+        known = true;
+        rx.bits[j - 1] = (y * std::conj(prev_y)).imag() > 0.0
+                             ? std::uint8_t{1}
+                             : std::uint8_t{0};
+      }
+    }
+    prev_words = words;
+    prev_phase = walk.phase();
+    prev_y = y;
+    prev_known = known;
   }
   noise.skip(grid.total - grid.last() - 1);
+  decisions_counter.add(rx.bits.size());
+  certified_counter.add(rx.certified);
+  return rx.bits;
 }
 
 // ---------------------------------------------------------------------

@@ -112,15 +112,32 @@ struct UnderlayPerResult {
 
 [[nodiscard]] UnderlayPerResult run_underlay_per(const UnderlayPerConfig& cfg);
 
+/// A receiver's state for underlay_receive(), reused across frames.
+struct UnderlayRx {
+  BitVec bits;                ///< the last frame's decisions
+  std::size_t certified = 0;  ///< how many of them a bound settled
+  // Scratch, per pattern: the first bound's word limit and |h|²·margin.
+  std::vector<std::int64_t> small_word;
+  std::vector<double> certain;
+};
+
 /// One frame through Table 4's link, y = h·s + w with s =
-/// modem.modulate(bits) and one `noise` sample per sample of s, computed
-/// only where the detector reads: `y` is resized to
-/// modem.detector_grid(bits.size()) and equals the full waveform's
-/// samples there bit for bit.  `noise` ends where drawing every sample
-/// would leave it; the other samples' draws are skipped.
-void underlay_link_on_grid(const GmskModem& modem,
-                           std::span<const std::uint8_t> bits, const cplx& h,
-                           AwgnChannel& noise, std::vector<cplx>& y);
+/// modem.modulate(bits) and one `noise` sample per sample of s, and the
+/// differential detector's decisions on it: `rx.bits` equals
+/// modem.demodulate(y, bits.size()) bit for bit, and `noise` ends where
+/// drawing every sample would leave it.
+///
+/// Only the detector's grid matters, and most of it is never evaluated:
+/// a decision whose bit pattern gives a noise-free margin |h|²·μ that
+/// the noise provably cannot cross takes the pattern's sign.  The bounds
+/// come from each grid sample's first noise word (AwgnChannel's two
+/// bounds); the words of every sample are still drawn or skipped.
+/// Other decisions are evaluated exactly, each grid sample at most once.
+/// Returns `rx.bits`.
+const BitVec& underlay_receive(const GmskModem& modem,
+                               std::span<const std::uint8_t> bits,
+                               const cplx& h, AwgnChannel& noise,
+                               UnderlayRx& rx);
 
 // ---------------------------------------------------------------------
 // Interweave beam-pattern experiment (Fig. 8)

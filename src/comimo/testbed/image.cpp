@@ -21,17 +21,28 @@ SyntheticImage make_test_image(std::size_t packets,
   img.width = width;
   img.height = height;
   img.pixels.resize(total);
+  // Smooth diagonal gradient with a sinusoidal texture: any zeroed packet
+  // region differs visibly from its surroundings.  Each factor depends
+  // on the column or the row alone, so it is taken once per column or
+  // row rather than once per pixel.
+  std::vector<double> col_wave(width);
+  std::vector<double> col_texture(width);
+  for (std::size_t x = 0; x < width; ++x) {
+    col_wave[x] = 64.0 * std::sin(2.0 * kPi * static_cast<double>(x) /
+                                  static_cast<double>(width));
+    col_texture[x] = 16.0 * std::sin(0.37 * static_cast<double>(x));
+  }
+  std::vector<double> row_wave(height);
+  std::vector<double> row_texture(height);
+  for (std::size_t y = 0; y < height; ++y) {
+    row_wave[y] = 32.0 * std::cos(2.0 * kPi * static_cast<double>(y) / 97.0);
+    row_texture[y] = std::cos(0.23 * static_cast<double>(y));
+  }
   for (std::size_t i = 0; i < total; ++i) {
     const std::size_t x = i % width;
     const std::size_t y = i / width;
-    // Smooth diagonal gradient with a sinusoidal texture: any zeroed
-    // packet region differs visibly from its surroundings.
-    const double gradient =
-        128.0 + 64.0 * std::sin(2.0 * kPi * static_cast<double>(x) /
-                                static_cast<double>(width)) +
-        32.0 * std::cos(2.0 * kPi * static_cast<double>(y) / 97.0);
-    const double texture = 16.0 * std::sin(0.37 * static_cast<double>(x)) *
-                           std::cos(0.23 * static_cast<double>(y));
+    const double gradient = 128.0 + col_wave[x] + row_wave[y];
+    const double texture = col_texture[x] * row_texture[y];
     const double v = gradient + texture;
     img.pixels[i] = static_cast<std::uint8_t>(
         std::clamp(v, 0.0, 255.0));

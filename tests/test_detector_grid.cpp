@@ -1,9 +1,10 @@
 // Table 4's link at the GMSK detector's sample rate against the
-// full-waveform chain it replaced.
+// full-waveform chain.
 //
-// run_underlay_per modulates, fades and noises only the samples the
-// differential detector reads, and skips the other samples' noise draws.
-// The oracle below is the loop it used before: every sample of
+// The exact grid chain (underlay_grid_oracle.h) modulates, fades and
+// noises only the samples the differential detector reads, from
+// GmskGridWalk, and skips the other samples' noise draws.
+// The root oracle below is the loop Table 4 ran first: every sample of
 // GmskModem::modulate() faded by h, one AwgnChannel::sample() each.  The
 // two must agree bit for bit on every sample the detector reads, in the
 // decisions, and in where they leave the noise stream.
@@ -17,7 +18,7 @@
 #include "comimo/channel/awgn.h"
 #include "comimo/phy/detector.h"
 #include "comimo/phy/gmsk.h"
-#include "comimo/testbed/experiments.h"
+#include "underlay_grid_oracle.h"
 
 namespace comimo {
 namespace {
@@ -78,7 +79,7 @@ TEST(DetectorGrid, LinkMatchesFullWaveformChainBitForBit) {
           const BitVec bits = random_bits(n, seed ^ n);
           std::vector<cplx> y_full =
               full_waveform_link(modem, bits, h, full_noise);
-          underlay_link_on_grid(modem, bits, h, grid_noise, y_grid);
+          oracle::underlay_link_on_grid(modem, bits, h, grid_noise, y_grid);
 
           const GmskDetectorGrid grid = modem.detector_grid(n);
           ASSERT_EQ(grid.total, y_full.size());
@@ -102,7 +103,7 @@ TEST(DetectorGrid, LinkMatchesFullWaveformChainBitForBit) {
               y_full[i] = cplx{nan, nan};
             }
           }
-          GmskModem::demodulate_grid(y_grid, grid_bits);
+          oracle::demodulate_grid(y_grid, grid_bits);
           EXPECT_EQ(grid_bits, modem.demodulate(y_full, n));
 
           // Both noise streams sit at the same place after the frame.

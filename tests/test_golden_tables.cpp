@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "comimo/channel/awgn.h"
 #include "comimo/common/units.h"
 #include "comimo/energy/ebbar.h"
 #include "comimo/interweave/pair_beamformer.h"
@@ -26,6 +27,8 @@
 #include "comimo/overlay/distance_planner.h"
 #include "comimo/phy/ber_sweep.h"
 #include "comimo/testbed/experiments.h"
+#include "comimo/testbed/framing.h"
+#include "comimo/testbed/image.h"
 
 namespace comimo {
 namespace {
@@ -174,6 +177,65 @@ TEST(GoldenTables, Table4UnderlayPerAtReducedAmplitudes) {
   EXPECT_EQ(solo600.packets_lost, 312u);
   EXPECT_EQ(coop400.packets_lost, 116u);
   EXPECT_EQ(solo400.packets_lost, 465u);
+}
+
+// PER cannot see a flipped bit inside a frame that is already lost (465
+// of the 474 frames at 400 solo are), so the received bits themselves
+// are pinned: one FNV-1a digest over every decision of the six cells,
+// frames in order, cells in the bench's order.  The frame loop repeats
+// run_underlay_per's (the same fading and noise streams, the same gain
+// draws), and its PERs must equal run_underlay_per's.
+TEST(GoldenTables, Table4ReceivedBitsDigest) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const double amplitude : {800.0, 600.0, 400.0}) {
+    for (const bool cooperative : {true, false}) {
+      UnderlayPerConfig cfg;
+      cfg.amplitude = amplitude;
+      cfg.seed = 7;
+      cfg.cooperative = cooperative;
+      const GmskModem modem(cfg.gmsk);
+      const Framer framer;
+      Rng fading_rng(cfg.seed);
+      AwgnChannel noise(1.0, Rng(cfg.seed, 0xBEEF));
+      const double amp_scale = cfg.amplitude / cfg.reference_amplitude;
+      const double mean_power =
+          db_to_linear(cfg.snr_at_reference_db) * amp_scale * amp_scale;
+      const double k = cfg.rician_k;
+      const std::vector<Packet> packets = packetize(
+          make_test_image(cfg.num_packets, cfg.packet_bytes),
+          cfg.packet_bytes);
+      UnderlayRx rx;
+      std::size_t lost = 0;
+      for (const Packet& pkt : packets) {
+        const BitVec tx_bits = framer.frame(pkt);
+        cplx h = rician_coefficient(fading_rng, k, mean_power);
+        if (cooperative) {
+          const double jitter =
+              fading_rng.gaussian(0.0, cfg.coop_phase_jitter_rad);
+          const double los_mag = std::sqrt(mean_power * k / (k + 1.0));
+          const double h_phase = std::arg(h);
+          const cplx los2{los_mag * std::cos(h_phase),
+                          los_mag * std::sin(h_phase)};
+          const cplx scatter2 =
+              fading_rng.complex_gaussian(mean_power / (k + 1.0));
+          h += los2 * cplx{std::cos(jitter), std::sin(jitter)} + scatter2;
+        }
+        const BitVec& rx_bits = underlay_receive(modem, tx_bits, h, noise, rx);
+        for (const std::uint8_t b : rx_bits) {
+          digest = (digest ^ b) * 0x100000001b3ULL;
+        }
+        if (!framer.parse(rx_bits)) ++lost;
+      }
+      const UnderlayPerResult run = run_underlay_per(cfg);
+      EXPECT_EQ(run.packets_lost, lost)
+          << "amplitude " << amplitude << (cooperative ? " coop" : " solo");
+      EXPECT_EQ(run.per, static_cast<double>(lost) /
+                             static_cast<double>(packets.size()));
+    }
+  }
+  // Golden regression, harvested from the exact detector-grid chain
+  // (tests/underlay_grid_oracle.h) before the certified receiver.
+  EXPECT_EQ(digest, 0x86b1a4b3cb5e63efULL);
 }
 
 // --- ē_b anchors (§6.2) ----------------------------------------------
