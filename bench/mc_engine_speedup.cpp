@@ -8,11 +8,11 @@
 // single-core container the speedup column measures scheduling overhead
 // rather than parallel gain — see EXPERIMENTS.md.
 //
-// `--trials <n>` shrinks the run for CI; `--shards <n>` fans each run
-// across that many forked worker processes (mc/sharded.h) — the merged
-// envelope must stay bit-identical to --shards 1, which
-// scripts/check_bench_json.sh diffs; `--json <path>` emits
-// comimo-bench-v1.
+// `--trials <n>` shrinks the run for CI; `--shards <n>` cuts each
+// run's chunk rounds into that many in-process slices (McConfig::shards)
+// — the merged envelope, obs metrics included, must stay bit-identical
+// to --shards 1, which scripts/check_bench_json.sh diffs; `--json
+// <path>` emits comimo-bench-v1.
 #include <cstdlib>
 #include <iostream>
 

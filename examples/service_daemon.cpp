@@ -3,7 +3,8 @@
 // Default mode is self-contained (and is what the ctest smoke run
 // exercises): start a daemon on a private AF_UNIX socket, drive a short
 // session through ServiceClient — ping, a cached Eb-bar lookup, a
-// sharded waveform BER job, a node-churn round — print the replies and
+// waveform BER job cut into two shards (in-process slices, the same
+// result as one), a node-churn round — print the replies and
 // the daemon's admission/latency stats, and shut down cleanly.
 //
 //   ./example_service_daemon                # demo session, then exit

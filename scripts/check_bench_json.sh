@@ -210,18 +210,18 @@ else
   echo "MISSING  perf_kernels"; fail=1
 fi
 
-# mc/ multi-process sharding: a --shards 4 run of the waveform sweep
-# must reproduce the --shards 1 envelope bit for bit (the sharded
-# driver transports per-chunk accumulators and folds them in global
+# mc/ shards: a --shards 4 run of the waveform sweep must reproduce
+# the --shards 1 envelope bit for bit (each chunk round is cut into
+# in-process slices whose per-chunk accumulators fold in global
 # chunk-ordinal order).  Only the deterministic record metrics are
-# compared — timing keys (speedup, trials/s) are runtime domain — and
-# --obs stays off because a forked child's obs registry does not flow
-# back to the parent envelope.  A --shards 2 run smoke-checks the
-# schema on the same binary.
+# compared — timing keys (speedup, trials/s) are runtime domain.  Both
+# runs have --obs on, and the envelopes' deterministic obs metrics must
+# match too, minus the mc.shard_count gauge that names the count.  A
+# --shards 2 run smoke-checks the schema on the same binary.
 if [ -x "$BENCH_DIR/mc_engine_speedup" ]; then
-  if "$BENCH_DIR/mc_engine_speedup" --trials 4000 --shards 1 \
+  if "$BENCH_DIR/mc_engine_speedup" --trials 4000 --shards 1 --obs \
       --json "$OUT_DIR/shards1.json" > /dev/null 2>&1 \
-    && "$BENCH_DIR/mc_engine_speedup" --trials 4000 --shards 4 \
+    && "$BENCH_DIR/mc_engine_speedup" --trials 4000 --shards 4 --obs \
       --json "$OUT_DIR/shards4.json" > /dev/null 2>&1 \
     && python3 -c '
 import json, sys
@@ -231,15 +231,23 @@ def rows(path):
     return [({k: v for k, v in r["params"].items() if k != "shards"},
              {k: r["metrics"][k] for k in KEYS})
             for r in d["records"]]
+def obs(path):
+    m = json.load(open(path))["metrics"]
+    assert m["counters"].get("phy.link_blocks", 0) > 0, \
+        f"{path}: phy.link_blocks never counted"
+    m["gauges"].pop("mc.shard_count")
+    return m
 a, b = rows(sys.argv[1]), rows(sys.argv[2])
 assert a, "no records in the sharded envelope"
-assert a == b, "--shards 1 vs --shards 4 envelopes diverge"' \
+assert a == b, "--shards 1 vs --shards 4 envelopes diverge"
+assert obs(sys.argv[1]) == obs(sys.argv[2]), \
+    "--shards 1 vs --shards 4 obs metrics diverge"' \
       "$OUT_DIR/shards1.json" "$OUT_DIR/shards4.json" \
     && "$BENCH_DIR/mc_engine_speedup" --trials 1000 --shards 2 \
       --json "$OUT_DIR/shards2.json" > /dev/null 2>&1 \
     && validate_fresh "$OUT_DIR/shards2.json"
   then
-    echo "OK       mc_engine_speedup (--shards 4 bit-identical to --shards 1)"
+    echo "OK       mc_engine_speedup (--shards 4 bit-identical to --shards 1, obs too)"
   else
     echo "FAIL     mc_engine_speedup (--shards)"; fail=1
   fi

@@ -30,7 +30,7 @@ scripts/check_bench_json.sh "$BUILD_DIR"
 
 echo "== service smoke: daemon up, load generator, clean shutdown =="
 # The example runs a full demo session (hello, cached ebbar lookup, a
-# forked sharded job, churn) against an in-process daemon and must shut
+# sharded job, churn) against an in-process daemon and must shut
 # down cleanly; the load generator then drives the three bench phases
 # (mixed load, backpressure rejections, byte-identical replay) shrunk.
 "$BUILD_DIR/examples/example_service_daemon" > /dev/null
@@ -75,12 +75,11 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # pointer-heavy paths where OOB would hide; Recluster adds the
 # locality pins and mid-size waves that reach the copy-or-dissolve
 # branch of the re-clustering sweep.  Service/ServiceWire drive
-# the daemon (sessions, backpressure, vanished clients) and ForkSafety
-# the quiesce-and-fork shard driver — the lifetime bugs this sweep
-# exists for surface as ASan/UBSan reports here.  McEngine, AdaptiveMc
-# and ImportanceSampling cover the MC driver's chunk executor, its
-# checkpoint folding and fork transport, and the tilted-noise weight
-# path.  DetectorGrid drives the GMSK detector-grid chain's index
+# the daemon (sessions, backpressure, vanished clients) — the lifetime
+# bugs this sweep exists for surface as ASan/UBSan reports here.
+# McEngine, AdaptiveMc and ImportanceSampling cover the MC driver's
+# chunk executor, its shard slices and checkpoint folding, and the
+# tilted-noise weight path.  DetectorGrid drives the GMSK detector-grid chain's index
 # arithmetic against the full waveform, and ParallelForChunks includes
 # the many-callers stress test of the pool's completion hand-off (a
 # stack use-after-free when it was racy).  EbBarMemoOracle checks the
@@ -88,7 +87,7 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # UnderlayReceive, GmskPatternMargins and NoiseBounds drive the
 # certified Table 4 receiver's grid walk, pattern tables and bounds.
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Recluster|Service|ServiceWire|ForkSafety|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle|UnderlayReceive|GmskPatternMargins|NoiseBounds' \
+  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Recluster|Service|ServiceWire|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle|UnderlayReceive|GmskPatternMargins|NoiseBounds' \
   -j "$(nproc)"
 
 echo "== thread pool under ThreadSanitizer =="

@@ -117,11 +117,12 @@ class BenchReporter {
 /// The shared bench command line: `--json <path>` turns on structured
 /// output, `--threads <n>` runs the engine-backed sweeps on a private
 /// pool of that size (0 = the shared pool), `--trials <n>` lets scripts
-/// shrink trial-bound benches, `--shards <n>` fans the engine-backed
-/// sweeps across that many worker processes (McConfig::shards,
-/// mc/sharded.h — bit-identical to 1), `--obs` enables the observability layer
-/// (metrics embed in the JSON envelope), `--trace <path>` additionally
-/// arms span tracing with an exit-time Perfetto-loadable dump, and
+/// shrink trial-bound benches, `--shards <n>` cuts the engine-backed
+/// sweeps' chunk rounds into that many in-process slices
+/// (McConfig::shards — bit-identical to 1), `--obs` enables the
+/// observability layer (metrics embed in the JSON envelope), `--trace
+/// <path>` additionally arms span tracing with an exit-time
+/// Perfetto-loadable dump, and
 /// `--simd <mode>` (or `--simd=<mode>`) pins the batch-kernel dispatch
 /// tier (auto|scalar|sse2|avx2|avx512|neon) before any kernel runs.
 /// `--adaptive <rel_ci>` asks engine-backed sweeps to stop early once

@@ -59,11 +59,6 @@ const ThreadPool* ThreadPool::current() noexcept { return t_current_pool; }
 
 void ThreadPool::submit(std::function<void()> job) {
   COMIMO_CHECK(job != nullptr, "null job");
-  if (workers_.empty()) {
-    throw ConcurrencyError(
-        "ThreadPool::submit on an inline (zero-worker) pool; nothing "
-        "could ever run the job — use parallel_for, which runs inline");
-  }
   if (t_current_pool == this) {
     // Every worker could end up blocked on work that can never run; the
     // silent version of this bug is a hang, so fail loudly instead.
@@ -95,14 +90,6 @@ void ThreadPool::wait_idle() {
   }
   std::unique_lock<std::mutex> lock(mutex_);
   cv_idle_.wait(lock, [this] { return jobs_.empty() && in_flight_ == 0; });
-}
-
-std::unique_lock<std::mutex> ThreadPool::quiesce_for_fork() {
-  wait_idle();
-  // Once this lock is held, every worker is either blocked inside
-  // cv_job_.wait (which does not hold the mutex while blocked) or
-  // queued behind this acquisition — nobody owns pool state at fork.
-  return std::unique_lock<std::mutex>(mutex_);
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -25,15 +25,6 @@ class ThreadPool {
   explicit ThreadPool(unsigned num_threads = 0);
   ~ThreadPool();
 
-  /// Tag for a pool with *no* worker threads: parallel_for degrades to
-  /// serial inline execution on the calling thread and submit() throws.
-  /// This is the only safe pool in the child of a multithreaded fork():
-  /// creating threads there can deadlock on runtime-internal locks
-  /// (allocator, sanitizer thread registry) a parent thread held at the
-  /// fork instant — locks no quiesce of our own can reach.
-  struct Inline {};
-  explicit ThreadPool(Inline) noexcept {}
-
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
@@ -54,19 +45,6 @@ class ThreadPool {
   /// The pool whose worker is running the calling thread, or nullptr
   /// when the caller is not a pool worker.
   [[nodiscard]] static const ThreadPool* current() noexcept;
-
-  /// Serializes the pool around a fork().  Drains the job queue
-  /// (wait_idle) and then returns a lock on the pool's internal mutex:
-  /// while the lock is held, no worker thread can hold pool state, so a
-  /// child process forked under it inherits the mutex in a known,
-  /// caller-owned state instead of mid-operation (a fork taken while a
-  /// worker holds the mutex leaves the child's copy locked forever —
-  /// the classic fork/threads deadlock).  The forking thread must hold
-  /// the returned lock across fork(); the child (a single-threaded copy
-  /// of that thread) unlocks its inherited copy before using anything,
-  /// and the parent releases normally.  Callers on one of this pool's
-  /// own workers cannot quiesce it (wait_idle throws ConcurrencyError).
-  [[nodiscard]] std::unique_lock<std::mutex> quiesce_for_fork();
 
   /// Process-wide shared pool (lazily constructed).
   static ThreadPool& shared();

@@ -1,62 +1,9 @@
 #include "comimo/mc/accumulator.h"
 
-#include <cstring>
-
-#include "comimo/common/error.h"
-
 namespace comimo {
 
 namespace {
 const RunningStats kEmptyStats{};
-
-// Fixed-width little-endian primitives.  Doubles travel as IEEE-754 bit
-// patterns (memcpy through uint64), so serialize/deserialize round-trips
-// every value bit-exactly — including the Welford m2 terms whose last
-// ulp the determinism contract cares about.
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  put_u64(out, bits);
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t& pos) {
-  COMIMO_CHECK(pos + 8 <= in.size(), "truncated accumulator wire image");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos += 8;
-  return v;
-}
-
-double get_f64(const std::vector<std::uint8_t>& in, std::size_t& pos) {
-  const std::uint64_t bits = get_u64(in, pos);
-  double d = 0.0;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::string get_string(const std::vector<std::uint8_t>& in,
-                       std::size_t& pos) {
-  const std::uint64_t len = get_u64(in, pos);
-  COMIMO_CHECK(pos + len <= in.size(), "truncated accumulator wire image");
-  std::string s(reinterpret_cast<const char*>(in.data() + pos),
-                static_cast<std::size_t>(len));
-  pos += static_cast<std::size_t>(len);
-  return s;
-}
 }  // namespace
 
 void McAccumulator::count(const std::string& name, std::uint64_t n) {
@@ -100,46 +47,6 @@ std::vector<std::string> McAccumulator::counter_names() const {
   names.reserve(counters_.size());
   for (const auto& [name, value] : counters_) names.push_back(name);
   return names;
-}
-
-void McAccumulator::serialize(std::vector<std::uint8_t>& out) const {
-  put_u64(out, counters_.size());
-  for (const auto& [name, value] : counters_) {
-    put_string(out, name);
-    put_u64(out, value);
-  }
-  put_u64(out, stats_.size());
-  for (const auto& [name, stats] : stats_) {
-    put_string(out, name);
-    const RunningStats::Raw raw = stats.raw();
-    put_u64(out, raw.n);
-    put_f64(out, raw.mean);
-    put_f64(out, raw.m2);
-    put_f64(out, raw.min);
-    put_f64(out, raw.max);
-  }
-}
-
-McAccumulator McAccumulator::deserialize(const std::vector<std::uint8_t>& in,
-                                         std::size_t& pos) {
-  McAccumulator acc;
-  const std::uint64_t n_counters = get_u64(in, pos);
-  for (std::uint64_t i = 0; i < n_counters; ++i) {
-    std::string name = get_string(in, pos);
-    acc.counters_[std::move(name)] = get_u64(in, pos);
-  }
-  const std::uint64_t n_stats = get_u64(in, pos);
-  for (std::uint64_t i = 0; i < n_stats; ++i) {
-    std::string name = get_string(in, pos);
-    RunningStats::Raw raw;
-    raw.n = static_cast<std::size_t>(get_u64(in, pos));
-    raw.mean = get_f64(in, pos);
-    raw.m2 = get_f64(in, pos);
-    raw.min = get_f64(in, pos);
-    raw.max = get_f64(in, pos);
-    acc.stats_[std::move(name)] = RunningStats::from_raw(raw);
-  }
-  return acc;
 }
 
 std::vector<std::string> McAccumulator::stat_names() const {

@@ -1,10 +1,11 @@
-// Mergeable per-shard accumulator for Monte-Carlo sweeps.
+// Mergeable per-chunk accumulator for Monte-Carlo sweeps.
 //
-// Each shard of a sweep owns one McAccumulator; trials add named
-// counters (error/trial counts) and named observations (Welford
-// mean/variance with min/max).  Shards merge in fixed shard order, so
-// the reduced state is a pure function of (seed, trials, chunk size) —
-// never of the worker count that happened to execute the shards.
+// Each chunk of a sweep (mc/engine.h) owns one McAccumulator; trials
+// add named counters (error/trial counts) and named observations
+// (Welford mean/variance with min/max).  Chunks merge in ascending
+// chunk ordinal, so the reduced state is a pure function of (seed,
+// trials, chunk size) — never of the worker or slice count that
+// happened to execute the chunks.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,7 @@ class McAccumulator {
 
   /// Folds `other` into this accumulator.  Counters add; statistics
   /// merge via the pairwise Welford update.  The engine always merges in
-  /// ascending shard order so results are reproducible bit-for-bit.
+  /// ascending chunk order so results are reproducible bit-for-bit.
   void merge(const McAccumulator& other);
 
   [[nodiscard]] std::vector<std::string> counter_names() const;
@@ -47,15 +48,6 @@ class McAccumulator {
   /// Exact (bitwise on doubles) state equality, for the thread-count
   /// invariance tests.
   friend bool operator==(const McAccumulator&, const McAccumulator&) = default;
-
-  /// Appends a bit-exact wire image of this accumulator to `out`
-  /// (little-endian lengths/values, doubles as IEEE bit patterns) — the
-  /// transport the multi-process sharding driver ships per-chunk
-  /// accumulators over.  deserialize() advances `pos` past one image and
-  /// round-trips exactly: deserialize(serialize(a)) == a bitwise.
-  void serialize(std::vector<std::uint8_t>& out) const;
-  [[nodiscard]] static McAccumulator deserialize(
-      const std::vector<std::uint8_t>& in, std::size_t& pos);
 
  private:
   std::map<std::string, std::uint64_t> counters_;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "comimo/common/error.h"
-#include "comimo/mc/sharded.h"
 #include "comimo/obs/trace.h"
 
 namespace comimo {
@@ -65,11 +64,11 @@ std::vector<McAccumulator> run_chunks(std::size_t trials, std::size_t chunk,
   std::vector<McAccumulator> accs(hi - lo);
   const obs::Histogram& chunk_wall_s = engine_obs().chunk_wall_s;
   parallel_for(pool, hi - lo, [&](std::size_t idx) {
-    // Chunk-ordinal shard scope (global ordinal, even under process
-    // sharding): deterministic metrics the trial code observes (per-hop
-    // BER, retries, backoff) merge in chunk order — the same discipline
-    // as the McAccumulator fold — so the exported aggregates are
-    // worker-count invariant.
+    // Chunk-ordinal shard scope (global ordinal, whatever the slice):
+    // deterministic metrics the trial code observes (per-hop BER,
+    // retries, backoff) merge in chunk order — the same discipline as
+    // the McAccumulator fold — so the exported aggregates are worker-
+    // and slice-count invariant.
     const std::size_t c = lo + idx;
     const obs::ObsShard shard(c);
     const obs::SpanTimer span("mc.chunk", chunk_wall_s);
@@ -110,8 +109,6 @@ McResult run_mc(std::size_t trials, const McConfig& config,
                "adaptive stopping requires a stop stat");
   const double z = adaptive ? confidence_z(stop.adaptive.confidence) : 0.0;
   const std::size_t width = std::clamp<std::size_t>(config.batch_width, 1, 8);
-  // Resolved up front: this may instantiate the shared pool, which must
-  // happen in the parent before any fork.
   ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
 
   McResult out;
@@ -129,23 +126,25 @@ McResult run_mc(std::size_t trials, const McConfig& config,
       adaptive
           ? resolve_checkpoint_every(chunks, stop.adaptive.checkpoint_every)
           : chunks;
-  const detail::ChunkRunner run_range = [&](std::size_t lo, std::size_t hi,
-                                            ThreadPool& on) {
-    return run_chunks(trials, chunk, config.seed, width, batch, lo, hi, on);
-  };
-
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t next = 0;
   while (next < chunks) {
     const std::size_t hi = std::min(chunks, next + every);
-    // Rounds arrive in ascending window order and each round's chunks
-    // in ascending ordinal, so the fold is the same sequence at every
-    // thread count, shard count and checkpoint schedule.
-    const std::vector<McAccumulator> accs =
-        config.shards > 1 ? detail::run_sharded(next, hi, config.shards,
-                                                config.fork, pool, run_range)
-                          : run_range(next, hi, pool);
-    for (const McAccumulator& acc : accs) out.acc.merge(acc);
+    // Rounds arrive in ascending window order, a round's slices in
+    // ascending order and each slice's chunks in ascending ordinal, so
+    // the fold is the same sequence at every thread count, slice count
+    // and checkpoint schedule.  Slices past the window's chunk count
+    // would be empty, so there are at most n.
+    const std::size_t n = hi - next;
+    const std::size_t slices = std::min(config.shards, n);
+    for (std::size_t s = 0; s < slices; ++s) {
+      for (const McAccumulator& acc :
+           run_chunks(trials, chunk, config.seed, width, batch,
+                      next + n * s / slices, next + n * (s + 1) / slices,
+                      pool)) {
+        out.acc.merge(acc);
+      }
+    }
     next = hi;
     if (!adaptive) continue;
     ++out.checkpoints;

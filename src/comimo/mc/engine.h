@@ -12,7 +12,7 @@
 //     the worker count, the batch width, the shard count or the stop
 //     rule, and chunk accumulators fold in ascending chunk ordinal;
 //   * therefore the folded accumulator is bit-identical on 1 or N
-//     threads, in 1 or K processes, for any pool and any scheduling —
+//     threads, over 1 or K slices, for any pool and any scheduling —
 //     asserted by tests/test_mc_engine.cpp.
 //
 // The driver runs the partition in checkpoint rounds.  Without a stop
@@ -25,8 +25,8 @@
 // partials: the Welford merge is not bitwise associative) from an empty
 // accumulator makes a run that exhausts its budget bit-identical to the
 // run without a stop rule.  With McConfig::shards > 1 each round is
-// split into contiguous slices executed by forked worker processes
-// (mc/sharded.h), whose per-chunk accumulators fold in the same order.
+// cut into contiguous slices that run one after another on the pool;
+// their per-chunk accumulators fold in the same order.
 //
 // A trial that needs several independent streams splits its Rng by
 // drawing sub-seeds (rng.next()) or by constructing Rng(sub_seed, tag)
@@ -59,14 +59,12 @@ struct McConfig {
   /// the width, so a batch function whose per-trial results match the
   /// scalar trial's gives the width-1 run's bits at every width.
   std::size_t batch_width = 1;
-  /// Worker processes each round is split across (mc/sharded.h): shard
-  /// s of K executes the slice [lo + n·s/K, lo + n·(s+1)/K) of the
-  /// round's n-chunk window [lo, lo + n).  1 runs in this process.
+  /// Slices each round is cut into: with k = min(shards, n), slice s
+  /// is [lo + n·s/k, lo + n·(s+1)/k) of the round's n-chunk window
+  /// [lo, lo + n), and the slices run one after another on the pool.
+  /// The folded result is bit-identical at every count; more slices
+  /// only add a barrier each.
   std::size_t shards = 1;
-  /// Fork one worker process per shard (POSIX).  false — or a platform
-  /// without fork — executes the slices one after another in this
-  /// process; the folded result is bit-identical either way.
-  bool fork = true;
 };
 
 struct McRunInfo {
@@ -108,8 +106,7 @@ using McBatchFn =
     std::function<void(std::size_t, std::size_t, Rng*, McAccumulator&)>;
 
 /// The driver: runs up to `trials` trials through `batch` and returns
-/// the folded accumulator with the run's record.  Throws
-/// ShardWorkerError (mc/sharded.h) when a forked worker fails.
+/// the folded accumulator with the run's record.
 [[nodiscard]] McResult run_mc(std::size_t trials, const McConfig& config,
                               const McBatchFn& batch,
                               const McStop& stop = {});

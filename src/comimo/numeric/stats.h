@@ -31,10 +31,9 @@ class RunningStats {
   /// tests assert accumulators are bit-identical, not merely close.
   friend bool operator==(const RunningStats&, const RunningStats&) = default;
 
-  /// Raw internal state, exposed for bit-exact wire transport (the
-  /// multi-process sharding driver serializes accumulators across a
-  /// pipe; doubles travel as bit patterns, so from_raw(raw()) round-trips
-  /// exactly).
+  /// Raw internal state, for estimators that need the Welford sums
+  /// themselves (e.g. the importance-sampling weight ESS in
+  /// phy/ber_sweep.cpp recovers Σw and Σw² from n, mean and m2).
   struct Raw {
     std::size_t n = 0;
     double mean = 0.0;
@@ -44,15 +43,6 @@ class RunningStats {
   };
   [[nodiscard]] Raw raw() const noexcept {
     return {n_, mean_, m2_, min_, max_};
-  }
-  [[nodiscard]] static RunningStats from_raw(const Raw& r) noexcept {
-    RunningStats s;
-    s.n_ = r.n;
-    s.mean_ = r.mean;
-    s.m2_ = r.m2;
-    s.min_ = r.min;
-    s.max_ = r.max;
-    return s;
   }
 
  private:

@@ -181,34 +181,6 @@ void MetricRegistry::fold_shard(std::uint64_t ordinal,
   for (std::size_t i = 0; i < stats.size(); ++i) slot[i].merge(stats[i]);
 }
 
-MetricRegistry::ForkGuard::ForkGuard(MetricRegistry& registry)
-    : registry_(&registry) {
-  // Registry mutex first, then every gauge cell in index order — a
-  // fixed acquisition order, and the only place both are held at once,
-  // so it cannot deadlock against normal metric traffic (which takes
-  // at most one of them at a time; gauges() takes mu_ then one cell,
-  // the same order as here).
-  registry_->mu_.lock();
-  for (auto& cell : registry_->gauge_cells_) {
-    cell.mu.lock();
-    ++gauges_locked_;
-  }
-}
-
-void MetricRegistry::ForkGuard::unlock_all() noexcept {
-  if (released_) return;
-  released_ = true;
-  // Reverse order of acquisition.
-  for (std::size_t i = gauges_locked_; i > 0; --i) {
-    registry_->gauge_cells_[i - 1].mu.unlock();
-  }
-  registry_->mu_.unlock();
-}
-
-void MetricRegistry::ForkGuard::unlock_in_child() noexcept { unlock_all(); }
-
-MetricRegistry::ForkGuard::~ForkGuard() { unlock_all(); }
-
 ObsShard::Frame*& ObsShard::current() noexcept {
   thread_local Frame* frame = nullptr;
   return frame;

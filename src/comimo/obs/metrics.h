@@ -201,34 +201,6 @@ class MetricRegistry {
   /// outstanding handles — stay valid.
   void reset();
 
-  /// RAII fork serializer.  While alive, the constructing thread holds
-  /// the registry mutex and every gauge-cell mutex, so a process forked
-  /// under it cannot inherit any of them mid-operation (a mutex locked
-  /// by some *other* live thread at fork() stays locked forever in the
-  /// child — the child would deadlock on its first gauge set or
-  /// histogram fold).  Hold-and-fork discipline: construct the guard,
-  /// fork, then in the parent let the destructor unlock; in the child
-  /// (a single-threaded copy of the constructing thread) call
-  /// unlock_in_child() before touching the registry.
-  class ForkGuard {
-   public:
-    explicit ForkGuard(MetricRegistry& registry);
-    ~ForkGuard();
-    ForkGuard(const ForkGuard&) = delete;
-    ForkGuard& operator=(const ForkGuard&) = delete;
-
-    /// Releases the inherited locks in a forked child.  Legal because
-    /// the child's only thread is the copy of the thread that took
-    /// them; after this the child may use the registry freely.
-    void unlock_in_child() noexcept;
-
-   private:
-    void unlock_all() noexcept;
-    MetricRegistry* registry_ = nullptr;
-    std::size_t gauges_locked_ = 0;
-    bool released_ = false;
-  };
-
  private:
   friend class Histogram;
   friend class ObsShard;

@@ -42,8 +42,7 @@ ConstellationChoice OverlayRelayScheme::direct_transmission_energy(
 
 OverlayRelayWaveform OverlayRelayScheme::measure_relay_waveform(
     const OverlayRelayConfig& config, const OverlayRelayEnergies& energies,
-    std::size_t blocks, std::uint64_t seed, ThreadPool* pool,
-    std::size_t shards) const {
+    std::size_t blocks, std::uint64_t seed, ThreadPool* pool) const {
   COMIMO_CHECK(config.num_relays >= 1, "need at least one relay");
   COMIMO_CHECK(blocks >= 1, "need at least one block");
   COMIMO_CHECK(energies.b_simo >= 1 && energies.b_miso >= 1,
@@ -60,7 +59,6 @@ OverlayRelayWaveform OverlayRelayScheme::measure_relay_waveform(
     cfg.blocks = blocks;
     cfg.seed = seed;
     cfg.pool = pool;
-    cfg.shards = shards;
     const double ebar = energy_model().ebar(config.ber, cfg.b, 1, cfg.mr);
     out.simo =
         measure_waveform_ber(cfg, linear_to_db(ebar / params_.n0_w_per_hz));
@@ -75,7 +73,6 @@ OverlayRelayWaveform OverlayRelayScheme::measure_relay_waveform(
     cfg.blocks = blocks;
     cfg.seed = seed + 0x51D0;  // independent stream family per leg
     cfg.pool = pool;
-    cfg.shards = shards;
     const double ebar = energy_model().ebar(config.ber, cfg.b, m_tx, 1);
     out.miso =
         measure_waveform_ber(cfg, linear_to_db(ebar / params_.n0_w_per_hz));

@@ -69,13 +69,10 @@ class OverlayRelayScheme {
   /// leg runs at γ_b = ē_b(p, b, mt, mr)/N0 with the constellations the
   /// plan chose.  Relay counts above the STBC design range fall back to
   /// the G4 code on the MISO leg.
-  /// `shards` > 1 forks each leg's MC rounds across worker processes
-  /// (McConfig::shards, mc/sharded.h) — bit-identical to the
-  /// single-process run.
   [[nodiscard]] OverlayRelayWaveform measure_relay_waveform(
       const OverlayRelayConfig& config, const OverlayRelayEnergies& energies,
       std::size_t blocks = 4000, std::uint64_t seed = 1,
-      ThreadPool* pool = nullptr, std::size_t shards = 1) const;
+      ThreadPool* pool = nullptr) const;
 
   /// The optimizer's energy model: plan() and measure_relay_waveform()
   /// read one ē_b memo.

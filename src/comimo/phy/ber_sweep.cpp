@@ -276,8 +276,8 @@ WaveformBerPoint measure_waveform_ber(const WaveformBerConfig& config,
   // to run_block on the same (seed, trial) stream (W = 1 is the scalar
   // tier); IS points run the tilted scalar kernel lane by lane in trial
   // order, so every statistic sees the same observation sequence at any
-  // width.  The grouping is worker- and shard-count invariant, so both
-  // give the same bits on any pool and across worker processes.
+  // width.  The grouping is worker- and slice-count invariant, so both
+  // give the same bits on any pool and at any shard count.
   McConfig mc;
   mc.seed = config.seed;
   mc.chunk_size = config.chunk_size;

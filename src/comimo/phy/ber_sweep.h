@@ -31,9 +31,9 @@ struct WaveformBerConfig {
   std::uint64_t seed = 1;
   std::size_t chunk_size = 0;  ///< engine shard size; 0 = auto
   ThreadPool* pool = nullptr;  ///< null = shared pool
-  /// Worker processes: > 1 forks the measurement's chunk rounds across
-  /// that many processes (McConfig::shards, mc/sharded.h); bit-identical
-  /// to the single-process run at any count.
+  /// Slices each chunk round is cut into (McConfig::shards); the
+  /// slices run one after another on `pool`, bit-identical to one slice
+  /// at any count.
   std::size_t shards = 1;
   /// Precision-targeted stopping (mc/adaptive.h).  target_rel_ci > 0
   /// runs the measurement in checkpoint rounds against `blocks` as the

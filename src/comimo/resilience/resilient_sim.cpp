@@ -113,8 +113,7 @@ ResilienceReport simulate_with_faults(const CoMimoNet& net,
   // measure_waveform_ber, so when a vector tier is pinned the probe's
   // blocks run W lanes at a time through the hop-batch workspace
   // (phy/hop_batch.h) — per-lane bit-identical, so the cached
-  // measurements don't depend on the tier (or on the shard count, were
-  // the probe ever sharded; it runs single-process here).
+  // measurements don't depend on the tier.
   std::map<std::tuple<int, unsigned, unsigned, double>, PlanBerMeasurement>
       waveform_cache;
   const auto probe_waveform = [&](const UnderlayHopPlan& hop_plan) {

@@ -398,9 +398,8 @@ void ServiceDaemon::worker_loop() {
       outcome.type = FrameType::kResult;
       outcome.payload = id_line + envelope.dump_string(2);
     } catch (const std::exception& e) {
-      // Bad params, an infeasible solve, a killed fork worker
-      // (ShardWorkerError) — all recoverable: reply kError, keep
-      // serving.
+      // Bad params, an infeasible solve — all recoverable: reply
+      // kError, keep serving.
       outcome.type = FrameType::kError;
       outcome.payload = id_line + "error=" + e.what();
       jobs_failed_.fetch_add(1, std::memory_order_relaxed);

@@ -23,9 +23,8 @@
 //   service worker ── pops jobs, runs them on its private engine pool
 //                  (ServiceConfig::mc_threads — the "threads" value in
 //                  every envelope), fulfills the promise.  A job that
-//                  throws (bad params, ShardWorkerError from a killed
-//                  fork worker) becomes a kError reply; the daemon
-//                  never dies with a job.
+//                  throws (bad params, an infeasible solve) becomes a
+//                  kError reply; the daemon never dies with a job.
 //
 // Liveness/latency accounting: accepted/rejected/completed/failed
 // counters plus a fixed-size latency reservoir from which stats()

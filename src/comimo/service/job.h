@@ -30,8 +30,9 @@
 //   ebbar_min     -> min-ē_b constellation from the daemon's cached
 //                    EbBarTable; params p (BER target), mt, mr
 //   waveform_ber  -> one Monte-Carlo waveform BER point; params b, mt,
-//                    mr, blocks, gamma_b_db, seed, shards (shards > 1
-//                    exercises the fork path under the daemon),
+//                    mr, blocks, gamma_b_db, seed, shards (slices per
+//                    chunk round, McConfig::shards; results equal
+//                    shards=1, and at most one slice per chunk runs),
 //                    target_ci (> 0 stops at that relative CI, with
 //                    blocks as the budget), and is, is_scale, is_chan
 //                    (importance sampling; is=1 requires target_ci > 0)
@@ -122,9 +123,8 @@ class JobRuntime {
 /// Executes one job on the worker's private pool and returns the
 /// kResult envelope (see the file comment for the schema deviation).
 /// Throws InvalidArgument on unknown kinds / bad params; engine errors
-/// (including ShardWorkerError from a killed fork worker) propagate —
-/// the daemon turns any exception into a kError reply and keeps
-/// serving.
+/// propagate — the daemon turns any exception into a kError reply and
+/// keeps serving.
 [[nodiscard]] Json run_job(const JobSpec& spec, std::uint64_t session_seed,
                            JobRuntime& runtime, ThreadPool& pool);
 

@@ -114,7 +114,7 @@ PlanBerMeasurement measure_plan_ber(const UnderlayHopPlan& plan,
                                     std::size_t blocks, std::uint64_t seed,
                                     const SystemParams& params,
                                     std::size_t chunk_size,
-                                    ThreadPool* pool, std::size_t shards) {
+                                    ThreadPool* pool) {
   COMIMO_CHECK(plan.b >= 1 && plan.b <= 8, "plan must carry b in 1..8");
   COMIMO_CHECK(plan.ebar > 0.0, "plan must carry a solved ebar");
   COMIMO_CHECK(blocks >= 1, "need at least one block");
@@ -126,7 +126,6 @@ PlanBerMeasurement measure_plan_ber(const UnderlayHopPlan& plan,
   cfg.seed = seed;
   cfg.chunk_size = chunk_size;
   cfg.pool = pool;
-  cfg.shards = shards;
   // The solver's ē_b is the per-branch received energy per bit; against
   // the thermal floor N0 it is exactly the kernel's linear γ_b.
   const double gamma_b = plan.ebar / params.n0_w_per_hz;

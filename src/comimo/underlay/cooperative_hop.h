@@ -115,12 +115,9 @@ struct PlanBerMeasurement {
 /// clamped to the supported STBC range.  Lets planners cross-check the
 /// analytic ē_b table against actual modulated blocks without leaving
 /// the underlay API.
-/// `shards` > 1 forks the measurement's MC rounds across worker processes
-/// (McConfig::shards, mc/sharded.h) — bit-identical to the
-/// single-process run.
 [[nodiscard]] PlanBerMeasurement measure_plan_ber(
     const UnderlayHopPlan& plan, std::size_t blocks, std::uint64_t seed = 1,
     const SystemParams& params = {}, std::size_t chunk_size = 0,
-    ThreadPool* pool = nullptr, std::size_t shards = 1);
+    ThreadPool* pool = nullptr);
 
 }  // namespace comimo

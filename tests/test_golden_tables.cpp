@@ -289,7 +289,7 @@ TEST(GoldenTables, Fig6OverlayDistanceAnchor) {
 // Every other BER check compares the MC driver with itself (threads,
 // shards, SIMD tiers, checkpoint schedules), so none would notice a
 // change that moved every result alike.  These pins hold four points,
-// one per driver path — fixed, fixed over two forked shards, adaptive,
+// one per driver path — fixed, fixed over two shards, adaptive,
 // and adaptive importance sampling with a fade tilt — to values
 // recorded from a build with separate fixed, sharded and adaptive
 // drivers.  Doubles are pinned as IEEE-754 bit patterns.  The scalar,

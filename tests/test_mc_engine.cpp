@@ -12,12 +12,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "comimo/mc/accumulator.h"
 #include "comimo/net/comimonet.h"
 #include "comimo/net/lifetime.h"
+#include "comimo/numeric/simd/simd.h"
+#include "comimo/obs/metrics.h"
 #include "comimo/phy/ber_sweep.h"
 #include "comimo/resilience/resilient_sim.h"
 #include "comimo/testbed/coop_hop_sim.h"
@@ -232,18 +236,17 @@ TEST(McEngine, NestedRunTrialsDegradesToSerial) {
 }
 
 // ---------------------------------------------------------------------
-// Multi-process sharding: chunk-range split + ordinal-ordered fold.
+// Shards: chunk-range slices + ordinal-ordered fold.
 // ---------------------------------------------------------------------
 
 TEST(McEngineShards, ManualShardFoldIsBitwiseEqualToUnsharded) {
-  // Shard s of K executes the slice [lo + n·s/K, lo + n·(s+1)/K) of each
-  // round's n-chunk window [lo, lo + n), in a forked worker or (fork =
-  // false) in process one slice after another, and the driver folds
-  // their per-chunk accumulators in order.  Every trial counts its own
-  // index, so the windowed, sliced fold must cover [0, trials) with no
-  // gap and no overlap and reproduce the single-round Welford fold
-  // bitwise — including surplus shards whose slice of a 3-chunk window
-  // is empty.
+  // With k = min(K, n) slices, slice s is [lo + n·s/k, lo + n·(s+1)/k)
+  // of each round's n-chunk window [lo, lo + n); the slices run one
+  // after another on the pool and the driver folds their per-chunk
+  // accumulators in order.  Every trial counts its own index, so the
+  // windowed, sliced fold must cover [0, trials) with no gap and no
+  // overlap and reproduce the single-round Welford fold bitwise —
+  // including more shards than a 3-chunk window has chunks.
   const std::size_t trials = 300;
   const McBatchFn indexed = [](std::size_t first, std::size_t count,
                                Rng* rngs, McAccumulator& acc) {
@@ -265,49 +268,39 @@ TEST(McEngineShards, ManualShardFoldIsBitwiseEqualToUnsharded) {
   windows.adaptive.target_rel_ci = 1e-12;  // never met: every window runs
   windows.adaptive.checkpoint_every = 3;
   windows.rule = StopRule{"hits", "trials"};
-  for (const bool fork : {false, true}) {
-    for (const std::size_t shards : {1u, 2u, 3u, 7u}) {
-      McConfig cfg = base;
-      cfg.shards = shards;
-      cfg.fork = fork;
-      const McResult one_round = run_mc(trials, cfg, indexed);
-      EXPECT_TRUE(one_round.acc == want.acc)
-          << shards << " shards, fork=" << fork;
-      const McResult windowed = run_mc(trials, cfg, indexed, windows);
-      EXPECT_TRUE(windowed.acc == want.acc)
-          << shards << " shards, fork=" << fork << ", windows";
-      EXPECT_EQ(windowed.checkpoints, 7u);
-      EXPECT_EQ(windowed.info.trials, trials);
-      EXPECT_FALSE(windowed.target_met);
-    }
+  for (const std::size_t shards : {1u, 2u, 3u, 7u}) {
+    McConfig cfg = base;
+    cfg.shards = shards;
+    const McResult one_round = run_mc(trials, cfg, indexed);
+    EXPECT_TRUE(one_round.acc == want.acc) << shards << " shards";
+    const McResult windowed = run_mc(trials, cfg, indexed, windows);
+    EXPECT_TRUE(windowed.acc == want.acc) << shards << " shards, windows";
+    EXPECT_EQ(windowed.checkpoints, 7u);
+    EXPECT_EQ(windowed.info.trials, trials);
+    EXPECT_FALSE(windowed.target_met);
   }
 }
 
 TEST(McEngineShards, RunTrialsShardedMatchesPlainRun) {
-  // Both transports — in-process sequential and fork + pipe — must
-  // return the plain run's accumulator bit for bit.
+  // A sliced run must return the plain run's accumulator bit for bit.
   McConfig cfg;
   cfg.seed = 31;
   const McResult want = run_trials(500, cfg, mixed_trial);
-  for (const bool fork : {false, true}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{5}}) {
-      McConfig sharded = cfg;
-      sharded.shards = shards;
-      sharded.fork = fork;
-      const McResult got = run_trials(500, sharded, mixed_trial);
-      EXPECT_TRUE(got.acc == want.acc)
-          << shards << " shards, fork=" << fork;
-      EXPECT_EQ(got.info.trials, want.info.trials);
-      EXPECT_EQ(got.info.chunks, want.info.chunks);
-    }
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{5}}) {
+    McConfig sharded = cfg;
+    sharded.shards = shards;
+    const McResult got = run_trials(500, sharded, mixed_trial);
+    EXPECT_TRUE(got.acc == want.acc) << shards << " shards";
+    EXPECT_EQ(got.info.trials, want.info.trials);
+    EXPECT_EQ(got.info.chunks, want.info.chunks);
   }
 }
 
 TEST(McEngineShards, ShardsAndThreadsComposeBitwise) {
-  // threads × shards: each forked worker runs its slice inline, and
-  // chunk ordinals stay global — the composition must equal the plain
-  // serial run exactly.
+  // threads × shards: each slice fans out across the 3-thread pool,
+  // and chunk ordinals stay global — the composition must equal the
+  // plain serial run exactly.
   McConfig serial;
   serial.seed = 47;
   const McResult want = run_trials(400, serial, mixed_trial);
@@ -346,16 +339,20 @@ TEST(McEngineShards, RunTrialBatchesShardedMatchesUnsharded) {
 }
 
 TEST(McEngineShards, MoreShardsThanChunksStillCovers) {
-  // Surplus shards receive empty chunk ranges and contribute nothing;
-  // coverage and bit-identity must survive.
+  // A round runs at most one slice per chunk, so surplus shards cost
+  // nothing — not even at SIZE_MAX, where n·s/shards would overflow —
+  // and coverage and bit-identity must survive.
   McConfig cfg;
   cfg.seed = 61;
-  cfg.chunk_size = 50;  // 2 chunks for 100 trials, 8 shards
+  cfg.chunk_size = 50;  // 2 chunks for 100 trials
   const McResult want = run_trials(100, cfg, mixed_trial);
-  cfg.shards = 8;
-  const McResult got = run_trials(100, cfg, mixed_trial);
-  EXPECT_TRUE(got.acc == want.acc);
-  EXPECT_EQ(got.acc.counter("trials"), 100u);
+  for (const std::size_t shards :
+       {std::size_t{8}, std::numeric_limits<std::size_t>::max()}) {
+    cfg.shards = shards;
+    const McResult got = run_trials(100, cfg, mixed_trial);
+    EXPECT_TRUE(got.acc == want.acc) << shards << " shards";
+    EXPECT_EQ(got.acc.counter("trials"), 100u) << shards << " shards";
+  }
 }
 
 TEST(McEngineShards, ShardedWaveformSweepIsShardCountInvariant) {
@@ -376,6 +373,78 @@ TEST(McEngineShards, ShardedWaveformSweepIsShardCountInvariant) {
     EXPECT_EQ(got.bits, want.bits) << shards << " shards";
     EXPECT_DOUBLE_EQ(got.ber, want.ber) << shards << " shards";
   }
+}
+
+TEST(McEngineShards, ObsMetricsAreShardCountInvariant) {
+  // Slices run in this process, so whatever the trial code records in
+  // the obs registry lands there at any shard count, and histograms fold
+  // by global chunk ordinal.  Every deterministic counter, gauge and
+  // histogram must match the one-slice run; only the mc.shard_count
+  // gauge tells the runs apart.
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "obs compiled out";
+  // The SIMD dispatch publishes its gauges once per process, when it
+  // pins a tier; pin it before the first reset so both runs see it.
+  (void)simd::batch_width();
+  obs::MetricRegistry& reg = obs::MetricRegistry::global();
+  const obs::Histogram trial_hist = reg.histogram("mc_test.trial_gauss");
+  struct Export {
+    std::map<std::string, std::uint64_t> counters;
+    std::map<std::string, double> gauges;
+    std::map<std::string, RunningStats> histograms;
+  };
+  ThreadPool pool(3);
+  const auto export_at = [&](std::size_t shards) {
+    reg.reset();
+    WaveformBerConfig cfg;
+    cfg.b = 2;
+    cfg.mt = 2;
+    cfg.mr = 2;
+    cfg.blocks = 2000;
+    cfg.seed = 83;
+    cfg.pool = &pool;
+    cfg.shards = shards;
+    (void)measure_waveform_ber(cfg, 6.0);
+    cfg.adaptive.target_rel_ci = 0.2;
+    cfg.adaptive.checkpoint_every = 3;
+    (void)measure_waveform_ber(cfg, 0.0);
+    McConfig mc;
+    mc.seed = 89;
+    mc.pool = &pool;
+    mc.shards = shards;
+    (void)run_trials(700, mc, [&](std::size_t t, Rng& rng, McAccumulator& a) {
+      mixed_trial(t, rng, a);
+      trial_hist.observe(rng.complex_gaussian().real());
+    });
+    Export e;
+    for (const auto& c : reg.counters()) {
+      if (c.domain == obs::Domain::kDeterministic) e.counters[c.name] = c.value;
+    }
+    for (const auto& g : reg.gauges()) {
+      if (g.domain == obs::Domain::kDeterministic) e.gauges[g.name] = g.value;
+    }
+    for (const auto& h : reg.histograms()) {
+      if (h.domain == obs::Domain::kDeterministic) {
+        e.histograms[h.name] = h.stats;
+      }
+    }
+    return e;
+  };
+  const Export want = export_at(1);
+  const Export got = export_at(3);
+  reg.reset();
+  obs::set_enabled(false);
+  EXPECT_GT(want.counters.at("phy.link_blocks"), 0u);
+  EXPECT_EQ(want.histograms.at("mc_test.trial_gauss").count(), 700u);
+  EXPECT_EQ(got.counters, want.counters);
+  EXPECT_EQ(got.histograms, want.histograms);
+  EXPECT_EQ(want.gauges.at("mc.shard_count"), 1.0);
+  EXPECT_EQ(got.gauges.at("mc.shard_count"), 3.0);
+  std::map<std::string, double> got_gauges = got.gauges;
+  std::map<std::string, double> want_gauges = want.gauges;
+  got_gauges.erase("mc.shard_count");
+  want_gauges.erase("mc.shard_count");
+  EXPECT_EQ(got_gauges, want_gauges);
 }
 
 // ---------------------------------------------------------------------

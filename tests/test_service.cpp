@@ -9,8 +9,8 @@
 //     retry_after_ms instead of blocking or dropping, and the
 //     accounting identity submitted == accepted + rejected holds;
 //   * robustness — the daemon survives a client that vanishes
-//     mid-stream, a job whose fork worker is killed, bad requests, and
-//     node-churn jobs, without aborting or wedging.
+//     mid-stream, bad requests, and node-churn jobs, without aborting
+//     or wedging.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -277,10 +277,11 @@ TEST(Service, BadRequestsGetErrorRepliesAndDaemonSurvives) {
 
 TEST(Service, ShardedJobWithForkRunsUnderTheDaemon) {
   if (!sockets_available()) GTEST_SKIP() << "no AF_UNIX sockets";
-  // waveform_ber with shards=2 exercises fork() from a daemon worker
-  // thread — the exact pool/obs-mutex scenario the quiesce fix covers —
-  // and must produce the same bytes as the shards=1 run (the sharded
-  // engine's bit-identity contract), minus the shards param itself.
+  // waveform_ber with shards=2 cuts each chunk round into two slices on
+  // the worker's pool and must produce the same bytes as the shards=1
+  // run (the engine's shard-count invariance), minus the shards param
+  // itself.  A client's shards=2^64-1 starts no process and no extra
+  // work: a round runs at most one slice per chunk.
   ServiceDaemon daemon(test_config("fork"));
   ServiceClient client(daemon.config().socket_path, 21);
   JobSpec one;
@@ -289,16 +290,21 @@ TEST(Service, ShardedJobWithForkRunsUnderTheDaemon) {
                 {"blocks", "500"}, {"seed", "4"}, {"shards", "1"}};
   JobSpec two = one;
   two.params["shards"] = "2";
+  JobSpec max = one;
+  max.params["shards"] = "18446744073709551615";
   const auto r1 = client.call(one);
   const auto r2 = client.call(two);
+  const auto rmax = client.call(max);
   ASSERT_EQ(r1.type, FrameType::kResult) << r1.body;
   ASSERT_EQ(r2.type, FrameType::kResult) << r2.body;
+  ASSERT_EQ(rmax.type, FrameType::kResult) << rmax.body;
   // Compare the metrics blocks (params differ by the shards value).
   const auto metrics_of = [](const std::string& body) {
     const std::size_t at = body.find("\"metrics\"");
     return body.substr(at, body.find('}', at) - at);
   };
   EXPECT_EQ(metrics_of(r1.body), metrics_of(r2.body));
+  EXPECT_EQ(metrics_of(r1.body), metrics_of(rmax.body));
 }
 
 TEST(Service, MetricsDumpAndChurnRounds) {
