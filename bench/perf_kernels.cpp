@@ -1,12 +1,13 @@
 // Kernel benchmarks, two modes in one binary:
 //   * `--json <path>`: the batched link-kernel comparison — the
-//     historical allocating per-block BER path vs. the LinkWorkspace
-//     path vs. the batch-SoA SIMD path on the pinned dispatch tier —
-//     emitted as comimo-bench-v1, with a median-of-reps ns_per_block
-//     and a steady-state heap-allocation count per block from the
-//     operator-new hook below.  All paths consume identical per-block
-//     RNG streams, and the bench aborts unless their bit-error counts
-//     match exactly.
+//     historical allocating per-block BER path vs. the batch kernel
+//     run one block at a time at width 1 on the scalar table (the
+//     `workspace` records) vs. the same kernel W lanes wide on the
+//     pinned dispatch tier (`simd_batch`) — emitted as comimo-bench-v1,
+//     with a median-of-reps ns_per_block and a steady-state
+//     heap-allocation count per block from the operator-new hook below.
+//     All paths consume identical per-block RNG streams, and the bench
+//     aborts unless their bit-error counts match exactly.
 //   * otherwise: the google-benchmark micro suite over the hot paths a
 //     planner or simulator spends its time in — the ē_b solve, STBC
 //     encode/decode, GMSK modulation, CSMA/CA and framing.
@@ -34,7 +35,7 @@
 #include "comimo/numeric/simd/simd.h"
 #include "comimo/phy/ber_sweep.h"
 #include "comimo/phy/detector.h"
-#include "comimo/phy/link_batch.h"
+#include "comimo/phy/hop_batch.h"
 #include "comimo/phy/gmsk.h"
 #include "comimo/phy/link_adaptation.h"
 #include "comimo/phy/modulation.h"
@@ -306,12 +307,15 @@ void run_link_kernel_bench(const BenchCli& cli) {
                                   sym_scale, bits_per_block, rng);
         });
 
+    // The scalar reference: the batch kernel one block at a time on a
+    // workspace prepared at width 1, which runs its body on the scalar
+    // table.
     const WaveformBerKernel kernel(shape.b, shape.mt, shape.mr, gamma_b);
-    LinkWorkspace ws;
-    kernel.prepare(ws);
+    HopBatchWorkspace ws;
+    kernel.prepare_batch(ws, 1);
     const LinkKernelRun ws_run = measure_blocks(
         reps, warmup, blocks, bits_per_block, seed,
-        [&](Rng& rng) { return kernel.run_block(ws, rng); });
+        [&](Rng& rng) { return kernel.run_block_batch(ws, &rng, 1); });
 
     // The workspace path must be bit-identical to the allocating one;
     // anything else means the refactor broke the kernel.
@@ -319,10 +323,10 @@ void run_link_kernel_bench(const BenchCli& cli) {
                  "workspace path diverged from the allocating path");
 
     // The SoA batch path over the pinned dispatch tier, same streams.
-    // At width 1 (scalar pin or no vector unit) this degenerates to the
-    // workspace path per lane, so the record stays meaningful anywhere.
+    // At width 1 (scalar pin or no vector unit) this is the workspace
+    // path, so the record stays meaningful anywhere.
     const std::size_t width = simd::batch_width();
-    LinkBatchWorkspace bws;
+    HopBatchWorkspace bws;
     kernel.prepare_batch(bws, width);
     const LinkKernelRun batch_run = measure_blocks_batched(
         reps, warmup, blocks, bits_per_block, seed, width,
@@ -366,11 +370,14 @@ void run_link_kernel_bench(const BenchCli& cli) {
 
   // Hop-batch comparison: the full three-step cooperative hop
   // (DF broadcast, W-wide long-haul STBC, analog collection) grouped at
-  // the pinned lane width vs the same blocks through the lane-serial
-  // reference driver.  Both consume the (seed, block index) streams, so
-  // the decoded bits must match lane-bitwise; the bench aborts if not.
+  // the pinned lane width vs the same blocks one at a time, each a
+  // width-1 group on the scalar table.  Both consume the (seed, block
+  // index) streams, so the decoded bits must match lane-bitwise; the
+  // bench aborts if not.
   {
     const std::size_t width = std::max<std::size_t>(1, simd::batch_width());
+    const simd::BatchKernels* scalar =
+        simd::kernels_for_tier(simd::Tier::kScalar);
     const std::size_t hop_target = cli.trials ? cli.trials / 10 : 2000;
     const UnderlayCooperativeHop planner;
     struct HopShape {
@@ -388,8 +395,8 @@ void run_link_kernel_bench(const BenchCli& cli) {
           planner.plan(hop_cfg, BSelectionRule::kMinTotalPa);
       const CoopHopBlockKernel kernel(plan, 30.0);
       const std::size_t bpb = kernel.bits_per_block();
-      // Whole groups only: the batch driver requires count == width, and
-      // an identical block set keeps the two passes comparable.
+      // Whole groups only, so every batched group is one pinned-width
+      // pass, and an identical block set keeps the two sides comparable.
       const std::size_t hop_blocks =
           std::max<std::size_t>(width, hop_target / width * width);
       const std::size_t hop_warmup = width * 8;
@@ -398,8 +405,20 @@ void run_link_kernel_bench(const BenchCli& cli) {
 
       HopBatchWorkspace ws;
       kernel.prepare_batch(ws, width);
+      HopBatchWorkspace lane_ws;
+      kernel.prepare_batch(lane_ws, 1);
       CoopHopBlockKernel::GroupStats
           stats[CoopHopBlockKernel::kMaxLanes]{};
+      const auto count_errors = [&](std::size_t blk, HopBatchWorkspace& out,
+                                    std::size_t lane) {
+        const std::uint8_t* sent = payload.data() + blk * bpb;
+        const std::uint8_t* got = out.decoded_lane(lane);
+        std::size_t errors = 0;
+        for (std::size_t i = 0; i < bpb; ++i) {
+          errors += sent[i] != got[i] ? 1 : 0;
+        }
+        return errors;
+      };
       const auto run_span = [&](std::size_t first, std::size_t count_blocks,
                                 bool batched) {
         std::size_t errors = 0;
@@ -408,16 +427,15 @@ void run_link_kernel_bench(const BenchCli& cli) {
           if (batched) {
             kernel.run_group_batch(ws, payload.data(), blk, width, seed,
                                    kernel.decoder_full(), stats);
-          } else {
-            kernel.run_group_serial(ws, payload.data(), blk, width, seed,
-                                    kernel.decoder_full(), stats);
+            for (std::size_t w = 0; w < width; ++w) {
+              errors += count_errors(blk + w, ws, w);
+            }
+            continue;
           }
           for (std::size_t w = 0; w < width; ++w) {
-            const std::uint8_t* sent = payload.data() + (blk + w) * bpb;
-            const std::uint8_t* got = ws.decoded_lane(w);
-            for (std::size_t i = 0; i < bpb; ++i) {
-              errors += sent[i] != got[i] ? 1 : 0;
-            }
+            kernel.run_group_batch(lane_ws, payload.data(), blk + w, 1, seed,
+                                   kernel.decoder_full(), stats, scalar);
+            errors += count_errors(blk + w, lane_ws, 0);
           }
         }
         return errors;
@@ -434,7 +452,7 @@ void run_link_kernel_bench(const BenchCli& cli) {
             return run_span(hop_warmup, hop_blocks, /*batched=*/true);
           });
       COMIMO_CHECK(batch_run.bit_errors == serial_run.bit_errors,
-                   "hop batch path diverged from the lane-serial path");
+                   "hop batch path diverged from the width-1 path");
 
       const double hop_speedup =
           batch_run.ns_per_block > 0.0

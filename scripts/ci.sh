@@ -54,9 +54,11 @@ cmake --build "$NOSIMD_DIR" -j "$(nproc)"
 # cleanly to width 1, the MC driver's width-1 path must keep every
 # McEngine invariance, and the workspace and waveform paths must be
 # untouched.  The certified Table 4 receiver and its noise bounds draw
-# through the same Box-Muller as the batch kernels.
+# through the same Box-Muller as the batch kernels.  At W = 1 every hop
+# block takes the one-pass branch of the long haul, which CoopHopSim and
+# RouteSim drive end to end.
 ctest --test-dir "$NOSIMD_DIR" --output-on-failure \
-  -R 'Golden|Simd|AlignedAlloc|LinkWorkspace|HopBatch|Waveform|Galois|Rlnc|SpatialIndex|SpatialGrid|NetworkFuzz|AdaptiveMc|ImportanceSampling|McEngine|UnderlayReceive|GmskPatternMargins|NoiseBounds' \
+  -R 'Golden|Simd|AlignedAlloc|LinkWorkspace|HopBatch|Waveform|Galois|Rlnc|SpatialIndex|SpatialGrid|NetworkFuzz|AdaptiveMc|ImportanceSampling|McEngine|UnderlayReceive|GmskPatternMargins|NoiseBounds|CoopHopSim|RouteSim' \
   -j "$(nproc)"
 
 echo "== workspace, simd batch + coding kernels under ASan + UBSan =="
@@ -86,8 +88,10 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # memoized hop planner against the per-b solve loop on route reports.
 # UnderlayReceive, GmskPatternMargins and NoiseBounds drive the
 # certified Table 4 receiver's grid walk, pattern tables and bounds.
+# CoopHopSim and RouteSim run ragged hop tails and ARQ retries, whose
+# width-1 long-haul passes read planes shaped for the pinned width.
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Recluster|Service|ServiceWire|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle|UnderlayReceive|GmskPatternMargins|NoiseBounds' \
+  -R 'LinkWorkspace|SimdBatch|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Recluster|Service|ServiceWire|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle|UnderlayReceive|GmskPatternMargins|NoiseBounds|CoopHopSim|RouteSim' \
   -j "$(nproc)"
 
 echo "== thread pool under ThreadSanitizer =="

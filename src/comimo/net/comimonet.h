@@ -21,8 +21,8 @@ struct CoMimoNetConfig {
   double link_range_m = 250.0;          ///< max cooperative-link length D
   /// Grid-indexed vs O(n²) reference construction; both produce
   /// bit-identical clusters, heads, and links (the differential suite
-  /// enforces it).  Defaults to the process-wide mode (kGrid).
-  NetIndexMode index_mode = net_index_mode();
+  /// enforces it).
+  NetIndexMode index_mode = NetIndexMode::kGrid;
 };
 
 /// One cooperative link of G_MIMO.

@@ -12,23 +12,15 @@
 // can always be cross-checked.
 #pragma once
 
-#include <string>
-
 namespace comimo {
 
+/// Chosen per config (CoMimoNetConfig::index_mode,
+/// SpatialCsmaConfig::index_mode), never process-wide: both default to
+/// kGrid, and the differential tests set kReference on the configs they
+/// cross-check, so no job can switch the index of another.
 enum class NetIndexMode {
   kGrid,       ///< spatial grid index; O(1) expected work per node
   kReference,  ///< original O(n²) pairwise scans (the oracle)
 };
-
-/// Process-wide default consumed by config default-initializers
-/// (CoMimoNetConfig, SpatialCsmaConfig) and the d_clustering overload
-/// that does not take an explicit mode.  Starts as kGrid.
-[[nodiscard]] NetIndexMode net_index_mode() noexcept;
-void set_net_index_mode(NetIndexMode mode) noexcept;
-
-[[nodiscard]] const char* to_string(NetIndexMode mode) noexcept;
-/// Parses "grid" / "reference"; throws InvalidArgument otherwise.
-[[nodiscard]] NetIndexMode parse_net_index_mode(const std::string& name);
 
 }  // namespace comimo

@@ -33,7 +33,7 @@ struct SpatialCsmaConfig {
   /// spatial-grid existence queries (O(1) per station instead of O(n));
   /// both are pure "any transmitter within range" booleans over the
   /// same exact distance predicate, so the stats are bit-identical.
-  NetIndexMode index_mode = net_index_mode();
+  NetIndexMode index_mode = NetIndexMode::kGrid;
 };
 
 struct SpatialStation {

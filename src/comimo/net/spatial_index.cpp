@@ -1,36 +1,12 @@
 #include "comimo/net/spatial_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 
 #include "comimo/common/error.h"
-#include "comimo/net/index_mode.h"
 
 namespace comimo {
-
-namespace {
-std::atomic<int> g_index_mode{static_cast<int>(NetIndexMode::kGrid)};
-}  // namespace
-
-NetIndexMode net_index_mode() noexcept {
-  return static_cast<NetIndexMode>(g_index_mode.load(std::memory_order_relaxed));
-}
-
-void set_net_index_mode(NetIndexMode mode) noexcept {
-  g_index_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-const char* to_string(NetIndexMode mode) noexcept {
-  return mode == NetIndexMode::kGrid ? "grid" : "reference";
-}
-
-NetIndexMode parse_net_index_mode(const std::string& name) {
-  if (name == "grid") return NetIndexMode::kGrid;
-  if (name == "reference") return NetIndexMode::kReference;
-  throw InvalidArgument("unknown net index mode: " + name);
-}
 
 SpatialGrid::SpatialGrid(const std::vector<std::uint32_t>& keys,
                          const std::vector<Vec2>& positions,

@@ -20,8 +20,8 @@ namespace comimo {
 
 namespace {
 // Same metric as link_workspace.cpp's per-block counter (the registry is
-// idempotent, so both handles hit one cell); the batch path adds W per
-// call instead of 1 per block.
+// idempotent, so both handles hit one cell); a batch pass adds its
+// width.
 obs::Counter& batch_link_blocks_counter() {
   static obs::Counter c =
       obs::MetricRegistry::global().counter("phy.link_blocks");
@@ -58,17 +58,6 @@ WaveformBerKernel::WaveformBerKernel(int b, unsigned mt, unsigned mr,
       std::sqrt(static_cast<double>(b) * gamma_b / code.symbol_weight());
 }
 
-std::size_t WaveformBerKernel::run_block(LinkWorkspace& ws, Rng& rng) const {
-  ws.bits.resize(bits_per_block_);
-  for (auto& bit : ws.bits) bit = rng.bernoulli(0.5) ? 1 : 0;
-  modem_->modulate_into(ws.bits, ws.symbols);
-  for (auto& s : ws.symbols) s *= sym_scale_;
-  simulate_block(decoder_, ws, rng);
-  for (auto& v : ws.estimates) v /= sym_scale_;
-  modem_->demodulate_into(ws.estimates, ws.decoded);
-  return count_bit_errors(ws.bits, ws.decoded);
-}
-
 WaveformBerKernel::IsBlock WaveformBerKernel::run_block_is(
     LinkWorkspace& ws, Rng& rng, double noise_scale,
     double channel_scale) const {
@@ -99,152 +88,83 @@ WaveformBerKernel::IsBlock WaveformBerKernel::run_block_is(
   return out;
 }
 
-void WaveformBerKernel::prepare_batch(LinkBatchWorkspace& ws,
+void WaveformBerKernel::prepare_batch(HopBatchWorkspace& ws,
                                       std::size_t width) const {
-  ws.configure(decoder_.code(), mr_, width, bits_per_block_);
+  ws.link.configure(decoder_.code(), mr_, width, bits_per_block_);
 }
 
-std::size_t WaveformBerKernel::run_block_batch(LinkBatchWorkspace& ws,
+std::size_t WaveformBerKernel::run_block_batch(HopBatchWorkspace& hws,
                                                Rng* rngs,
                                                std::size_t count) const {
-  COMIMO_DCHECK(count >= 1 && count <= ws.width,
-                "count must fit the configured lane width");
-  const std::size_t w_count = ws.width;
-
-  // Tail (or degenerate width-1) path: the plain scalar kernel per lane,
-  // with its bits mirrored into the lane-major staging so callers see
-  // one layout regardless of which path ran.
-  if (w_count == 1 || count < w_count) {
-    std::size_t errors = 0;
-    for (std::size_t w = 0; w < count; ++w) {
-      errors += run_block(ws.lane_ws, rngs[w]);
-      std::uint8_t* bits_out = ws.bits.data() + w * bits_per_block_;
-      std::uint8_t* dec_out = ws.decoded.data() + w * bits_per_block_;
-      for (std::size_t i = 0; i < bits_per_block_; ++i) {
-        bits_out[i] = ws.lane_ws.bits[i];
-        dec_out[i] = ws.lane_ws.decoded[i];
-      }
-    }
-    return errors;
+  LinkBatchWorkspace& ws = hws.link;
+  COMIMO_CHECK(count >= 1 && count <= ws.width,
+               "count must fit the prepared lane width");
+  const simd::BatchKernels& pinned = simd::active_kernels();
+  if (count == ws.width && count == pinned.width) {
+    return run_pass(ws, 0, pinned, rngs);
   }
+  const simd::BatchKernels& scalar =
+      *simd::kernels_for_tier(simd::Tier::kScalar);
+  std::size_t errors = 0;
+  for (std::size_t w = 0; w < count; ++w) {
+    errors += run_pass(ws, w, scalar, rngs + w);
+  }
+  return errors;
+}
 
-  const simd::BatchKernels& k = simd::active_kernels();
-  COMIMO_DCHECK(w_count == k.width,
-                "workspace width must match the pinned SIMD lane width");
+std::size_t WaveformBerKernel::run_pass(LinkBatchWorkspace& ws,
+                                        std::size_t first,
+                                        const simd::BatchKernels& k,
+                                        Rng* rngs) const {
+  const std::size_t w_count = k.width;
   const StbcCode& code = decoder_.code();
   const std::size_t mt = code.num_tx();
   const std::size_t tt = code.block_length();
   const std::size_t kk = code.symbols_per_block();
   const std::size_t mr = mr_;
-  const cplx* coeff_a = code.coeff_a_flat().data();
-  const cplx* coeff_b = code.coeff_b_flat().data();
+  std::uint8_t* const bits = ws.bits.data() + first * bits_per_block_;
+  std::uint8_t* const decoded = ws.decoded.data() + first * bits_per_block_;
 
-  // Source bits and modulation stay scalar per lane: bit draws must
-  // consume lane w's generator exactly like run_block, and the symbol
-  // map is a table lookup.  Unscaled symbols stage through lane_ws and
-  // scatter into the SoA planes.
+  // Source bits and modulation stay scalar per lane: bit draws consume
+  // lane w's generator first, and the symbol map is a table lookup.
+  // Unscaled symbols stage through ws.symbols and scatter into the SoA
+  // planes.
   for (std::size_t w = 0; w < w_count; ++w) {
-    std::uint8_t* lane_bits = ws.bits.data() + w * bits_per_block_;
+    std::uint8_t* lane_bits = bits + w * bits_per_block_;
     for (std::size_t i = 0; i < bits_per_block_; ++i) {
       lane_bits[i] = rngs[w].bernoulli(0.5) ? 1 : 0;
     }
-    modem_->modulate_into({lane_bits, bits_per_block_}, ws.lane_ws.symbols);
+    modem_->modulate_into({lane_bits, bits_per_block_}, ws.symbols);
     for (std::size_t s = 0; s < kk; ++s) {
-      ws.sym_re[s * w_count + w] = ws.lane_ws.symbols[s].real();
-      ws.sym_im[s * w_count + w] = ws.lane_ws.symbols[s].imag();
+      ws.sym_re[s * w_count + w] = ws.symbols[s].real();
+      ws.sym_im[s * w_count + w] = ws.symbols[s].imag();
     }
   }
   k.scale(ws.sym_re.data(), ws.sym_im.data(), kk, sym_scale_);
 
   // The link itself: channel draw, STBC encode, propagate, AWGN — the
-  // simulate_block() sequence, W lanes per op.
+  // draw order of the scalar block, W lanes per op.
   simd::random_gaussian_fill_batch(ws.h_re.data(), ws.h_im.data(), mr * mt,
                                    w_count, rngs, 1.0);
-  k.stbc_encode(coeff_a, coeff_b, tt, mt, kk, code.power_scale(),
-                ws.sym_re.data(), ws.sym_im.data(), ws.enc_re.data(),
-                ws.enc_im.data());
+  k.stbc_encode(code.coeff_a_flat().data(), code.coeff_b_flat().data(), tt,
+                mt, kk, code.power_scale(), ws.sym_re.data(),
+                ws.sym_im.data(), ws.enc_re.data(), ws.enc_im.data());
   k.multiply_transposed(ws.enc_re.data(), ws.enc_im.data(), ws.h_re.data(),
                         ws.h_im.data(), ws.rx_re.data(), ws.rx_im.data(), tt,
                         mt, mr);
   simd::add_scaled_noise_into_batch(ws.rx_re.data(), ws.rx_im.data(), tt * mr,
                                     w_count, rngs, 1.0);
-
-  // ML decode: the F/y build and the normal-equation dot products are
-  // vectorized; the pivoted solve is data-dependent per lane, so each
-  // lane's gram/rhs is extracted and solved with the scalar eliminator
-  // — the exact code path (and bits) of StbcDecoder::decode_into.
-  const std::size_t rows = 2 * tt * mr;
-  const std::size_t cols = 2 * kk;
-  k.stbc_build_fy(coeff_a, coeff_b, tt, mt, kk, mr, code.power_scale(),
-                  ws.h_re.data(), ws.h_im.data(), ws.rx_re.data(),
-                  ws.rx_im.data(), ws.f.data(), ws.y.data());
-  k.gram_rhs(ws.f.data(), ws.y.data(), rows, cols, ws.gram.data(),
-             ws.rhs.data());
-  StbcDecodeScratch& sc = ws.solve_scratch;
-  for (std::size_t w = 0; w < w_count; ++w) {
-    sc.gram.resize(cols, cols);
-    sc.rhs.assign(cols, cplx{0.0, 0.0});
-    for (std::size_t c1 = 0; c1 < cols; ++c1) {
-      for (std::size_t c2 = 0; c2 < cols; ++c2) {
-        sc.gram(c1, c2) = cplx{ws.gram[(c1 * cols + c2) * w_count + w], 0.0};
-      }
-      sc.rhs[c1] = cplx{ws.rhs[c1 * w_count + w], 0.0};
-    }
-    sc.gram.solve_into(sc.rhs, sc.x, sc.solve_work);
-    for (std::size_t s = 0; s < kk; ++s) {
-      ws.est_re[s * w_count + w] = sc.x[2 * s].real();
-      ws.est_im[s * w_count + w] = sc.x[2 * s + 1].real();
-    }
-  }
-  k.divide(ws.est_re.data(), ws.est_im.data(), kk, sym_scale_);
-
-  // Hard demapping.  BPSK keeps its sign rule (distance ties at ±0
-  // would flip the bit the sign rule picks); QAM runs the vector
-  // distance argmin and unpacks labels MSB-first like demodulate_into.
-  const int b = modem_->bits_per_symbol();
-  if (b == 1) {
-    for (std::size_t w = 0; w < w_count; ++w) {
-      std::uint8_t* dec_out = ws.decoded.data() + w * bits_per_block_;
-      for (std::size_t s = 0; s < kk; ++s) {
-        dec_out[s] = bpsk_hard_bit(ws.est_re[s * w_count + w]);
-      }
-    }
-  } else {
-    const std::vector<cplx>& points = modem_->constellation();
-    k.qam_nearest(ws.est_re.data(), ws.est_im.data(), kk, points.data(),
-                  points.size(), ws.labels.data());
-    for (std::size_t w = 0; w < w_count; ++w) {
-      std::uint8_t* dec_out = ws.decoded.data() + w * bits_per_block_;
-      std::size_t pos = 0;
-      for (std::size_t s = 0; s < kk; ++s) {
-        const std::uint32_t label = ws.labels[s * w_count + w];
-        for (int bit = b - 1; bit >= 0; --bit) {
-          dec_out[pos++] =
-              static_cast<std::uint8_t>((label >> bit) & 1u);
-        }
-      }
-    }
-  }
+  decode_demap_batch(k, code, mr, *modem_, sym_scale_, ws, decoded,
+                     bits_per_block_);
 
   std::size_t errors = 0;
   for (std::size_t w = 0; w < w_count; ++w) {
     errors += count_bit_errors(
-        {ws.bits.data() + w * bits_per_block_, bits_per_block_},
-        {ws.decoded.data() + w * bits_per_block_, bits_per_block_});
+        {bits + w * bits_per_block_, bits_per_block_},
+        {decoded + w * bits_per_block_, bits_per_block_});
   }
   batch_link_blocks_counter().add(w_count);
   return errors;
-}
-
-void WaveformBerKernel::prepare_batch(HopBatchWorkspace& ws,
-                                      std::size_t width) const {
-  prepare_batch(ws.link, width);
-}
-
-std::size_t WaveformBerKernel::run_block_batch(HopBatchWorkspace& ws,
-                                               Rng* rngs,
-                                               std::size_t count) const {
-  return run_block_batch(ws.link, rngs, count);
 }
 
 WaveformBerPoint measure_waveform_ber(const WaveformBerConfig& config,
@@ -273,11 +193,12 @@ WaveformBerPoint measure_waveform_ber(const WaveformBerConfig& config,
 
   // W consecutive blocks of each chunk go to one batch call.  Plain
   // points run the batch-SoA kernel, whose lanes are each bit-identical
-  // to run_block on the same (seed, trial) stream (W = 1 is the scalar
-  // tier); IS points run the tilted scalar kernel lane by lane in trial
-  // order, so every statistic sees the same observation sequence at any
-  // width.  The grouping is worker- and slice-count invariant, so both
-  // give the same bits on any pool and at any shard count.
+  // to the scalar block on the same (seed, trial) stream (a chunk's
+  // short last group runs at width 1); IS points run the tilted scalar
+  // kernel lane by lane in trial order, so every statistic sees the
+  // same observation sequence at any width.  The grouping is worker-
+  // and slice-count invariant, so both give the same bits on any pool
+  // and at any shard count.
   McConfig mc;
   mc.seed = config.seed;
   mc.chunk_size = config.chunk_size;

@@ -80,32 +80,31 @@ struct WaveformBerPoint {
 
 /// The per-block waveform BER trial packaged as a reusable kernel.
 /// Construction fixes (b, mt, mr, γ_b) and builds the modem and ML
-/// decoder once; run_block() then executes one STBC block entirely on a
-/// caller-owned LinkWorkspace and returns its bit-error count.  A
-/// workspace reused across blocks makes the steady-state loop
-/// allocation-free (bench/perf_kernels counts this).  Bit-identical to
-/// the historical per-block allocating path for the same Rng stream.
+/// decoder once.  run_block_batch() runs blocks through the batch-SoA
+/// link on a caller-owned HopBatchWorkspace; run_block_is() runs one
+/// importance-sampled block on a LinkWorkspace.  A workspace reused
+/// across blocks makes the steady-state loop allocation-free
+/// (bench/perf_kernels counts this).
 class WaveformBerKernel {
  public:
   /// gamma_b is the *linear* per-branch per-bit SNR.
   WaveformBerKernel(int b, unsigned mt, unsigned mr, double gamma_b);
 
-  /// Shapes `ws` for this kernel; call before run_block() whenever the
-  /// workspace may have last served a different shape.
+  /// Shapes `ws` for this kernel; call before run_block_is() whenever
+  /// the workspace may have last served a different shape.
   void prepare(LinkWorkspace& ws) const { ws.configure(decoder_.code(), mr_); }
 
-  /// One block: draw source bits, modulate, simulate the link, decode,
-  /// count errors.  The source/decoded bits stay in ws.bits/ws.decoded.
-  [[nodiscard]] std::size_t run_block(LinkWorkspace& ws, Rng& rng) const;
-
-  /// Importance-sampled block: identical to run_block except the AWGN
-  /// is drawn from CN(0, noise_scale) and the channel from
-  /// CN(0, 1/channel_scale).  Returns the raw (tilted) bit-error count
-  /// plus the block's likelihood weight w = f/g =
+  /// Importance-sampled block: draw source bits, modulate, simulate the
+  /// link with the AWGN drawn from CN(0, noise_scale) and the channel
+  /// from CN(0, 1/channel_scale), decode, count errors.  The source and
+  /// decoded bits stay in ws.bits/ws.decoded.  Returns the raw (tilted)
+  /// bit-error count plus the block's likelihood weight w = f/g =
   ///   ν^N·exp(−(1 − 1/ν)·Σ|n|²) · λ^(−Nh)·exp((λ − 1)·Σ|h|²)
   /// over the N = T·mr noise samples and Nh = mt·mr channel entries;
   /// the unbiased BER estimator is the mean of w·errors/bits_per_block
-  /// across blocks.  Both scales at 1 give w == 1 and run_block's bits.
+  /// across blocks.  Both scales at 1 give w == 1 and draw the words of
+  /// an untilted block, so it is also the scalar reference every batch
+  /// lane is held to.
   struct IsBlock {
     std::size_t bit_errors = 0;
     double weight = 1.0;
@@ -114,25 +113,19 @@ class WaveformBerKernel {
                                      double noise_scale,
                                      double channel_scale) const;
 
-  /// Shapes `ws` for this kernel at `width` lanes (normally
-  /// simd::batch_width()); the batch analogue of prepare().
-  void prepare_batch(LinkBatchWorkspace& ws, std::size_t width) const;
-
-  /// `count` blocks at once through the SIMD batch path, one Rng per
-  /// lane (rngs[0..count)).  Returns the total bit-error count; per-lane
-  /// source/decoded bits stay lane-major in ws.bits/ws.decoded.  Lane w
-  /// is bit-identical to run_block(ws', rngs[w]) on a fresh workspace —
-  /// a count below the configured width (the tail of a Monte-Carlo
-  /// chunk) falls back to exactly that scalar loop.
-  [[nodiscard]] std::size_t run_block_batch(LinkBatchWorkspace& ws,
-                                            Rng* rngs,
-                                            std::size_t count) const;
-
-  /// Hop-workspace overloads: the link kernel runs on the embedded link
-  /// planes of a HopBatchWorkspace, so call sites that sometimes run a
-  /// full hop and sometimes a bare link (underlay/overlay/resilience
-  /// measurements) share one per-thread arena type.
+  /// Shapes the link planes of `ws` for this kernel at `width` lanes
+  /// (normally simd::batch_width()).  The hop workspace is the one
+  /// per-thread arena type of every batch call site.
   void prepare_batch(HopBatchWorkspace& ws, std::size_t width) const;
+
+  /// `count` blocks (1 ≤ count ≤ the prepared width), one Rng per lane
+  /// (rngs[0..count)).  Returns the total bit-error count; per-lane
+  /// source/decoded bits stay lane-major in ws.link.bits/decoded.  A
+  /// count that fills the prepared width, when that width is the pinned
+  /// table's, runs as one pass on the pinned table; any other count
+  /// (the tail of a Monte-Carlo chunk, a workspace prepared at another
+  /// width) runs the same body lane by lane at width 1 on the scalar
+  /// table.  Lane w is bit-identical to run_block_is(ws', rngs[w], 1, 1).
   [[nodiscard]] std::size_t run_block_batch(HopBatchWorkspace& ws, Rng* rngs,
                                             std::size_t count) const;
 
@@ -144,6 +137,11 @@ class WaveformBerKernel {
   }
 
  private:
+  /// One pass of k.width blocks over lanes [first, first + k.width) of
+  /// the lane-major bit staging, drawing from rngs[0..k.width).
+  std::size_t run_pass(LinkBatchWorkspace& ws, std::size_t first,
+                       const simd::BatchKernels& k, Rng* rngs) const;
+
   std::unique_ptr<Modulator> modem_;
   StbcDecoder decoder_;
   unsigned mr_;

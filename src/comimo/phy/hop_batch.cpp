@@ -11,9 +11,8 @@ void HopBatchWorkspace::configure_hop(const StbcCode& code, std::size_t mr,
   width = w;
   mt = num_tx;
   bits_per_block = bpb;
-  belief_bits.assign(num_tx * w * bpb, 0);
-  decoded_all.assign(w * bpb, 0);
-  if (lane_ant_syms.size() < num_tx) lane_ant_syms.resize(num_tx);
+  belief_bits.resize(num_tx * w * bpb);
+  decoded_all.resize(w * bpb);
   // For the full code the sub-block is the whole block, so shaping the
   // link planes here makes the first long-haul pass allocation-free;
   // ladder-degraded sub-codes reshape (smaller, capacity reused) via
@@ -27,8 +26,8 @@ void HopBatchWorkspace::configure_long_haul(const StbcCode& code_use,
   const std::size_t mt_use = code_use.num_tx();
   const std::size_t k_use = code_use.symbols_per_block();
   link.configure(code_use, mr, w, sub_bits);
-  ant_sym_re.assign(mt_use * k_use * w, 0.0);
-  ant_sym_im.assign(mt_use * k_use * w, 0.0);
+  ant_sym_re.resize(mt_use * k_use * w);
+  ant_sym_im.resize(mt_use * k_use * w);
 }
 
 }  // namespace comimo

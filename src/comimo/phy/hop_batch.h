@@ -18,10 +18,12 @@
 //     [(i·W + w)·bits_per_block, …) — lane-contiguous so the scalar
 //     modulator can take a slice directly.
 //
-// configure_*() shape with assign(), which reuses capacity, so the
+// configure_*() shape with resize(), which reuses capacity, so the
 // steady-state hop loop is allocation-free once the workspace has seen
 // its largest (code, width) — including alternation between the full
-// and ladder-degraded STBC shapes.
+// and ladder-degraded STBC shapes.  A long-haul pass at width 1 (a
+// ragged tail, an ARQ retry) runs on the head of planes shaped for the
+// workspace's width.
 #pragma once
 
 #include <cstddef>
@@ -50,11 +52,10 @@ struct HopBatchWorkspace {
   /// Hop output, lane-major: lane w at [w·bits_per_block, …).
   BitVec decoded_all;
 
-  // Scalar lane staging (broadcast leg and the lane-serial fallback).
+  // Scalar lane staging for the broadcast leg.
   std::vector<cplx> lane_syms;  ///< head-broadcast symbols
   std::vector<cplx> lane_rx;    ///< noisy local copy per co-transmitter
   BitVec lane_decoded;          ///< scalar demod staging
-  std::vector<std::vector<cplx>> lane_ant_syms;  ///< serial-path symbols
 
   std::size_t width = 0;           ///< lanes currently configured
   std::size_t mt = 0;              ///< full-code virtual antennas

@@ -5,10 +5,16 @@
 // planes (numeric/simd/simd.h: element e of lane w at plane[e·W + w],
 // planes 64-byte aligned) so every arithmetic step of the link — encode,
 // propagate, noise add, real-expansion decode, demod distance — runs as
-// one vector op over W lanes.  Each lane is bit-identical to running
-// the scalar LinkWorkspace path on the same Rng, which is what lets
+// one vector op over W lanes.  Each lane is bit-identical to the scalar
+// LinkWorkspace block on the same Rng, which is what lets
 // WaveformBerKernel::run_block_batch drop in under measure_waveform_ber
 // without disturbing a single golden table.
+//
+// A pass may also run narrower than the workspace — width 1 on the
+// scalar kernel table, for chunk tails, ragged hop tails and ARQ
+// retries — and then uses the head of each plane.  Every pass writes
+// each plane element before it reads it, so planes carry no state
+// between passes of any width or shape.
 //
 // The per-lane pieces that stay scalar on purpose:
 //   * RNG draws (bits, channel, noise) — one generator per lane, scalar
@@ -22,16 +28,17 @@
 #include <vector>
 
 #include "comimo/numeric/aligned.h"
-#include "comimo/phy/link_workspace.h"
 #include "comimo/phy/modulation.h"
 #include "comimo/phy/stbc.h"
 
 namespace comimo {
 
-class Rng;
+namespace simd {
+struct BatchKernels;
+}  // namespace simd
 
-/// All buffers for W blocks of one simulated STBC link.  Aggregate like
-/// LinkWorkspace: configure() shapes every plane with assign(), which
+/// All buffers for W blocks of one simulated STBC link.  Plain
+/// aggregate: configure() shapes every plane with resize(), which
 /// reuses capacity, so the steady-state batch loop is allocation-free
 /// once the workspace has seen its largest (shape, width).
 struct LinkBatchWorkspace {
@@ -51,8 +58,8 @@ struct LinkBatchWorkspace {
   // [w·bits_per_block, (w+1)·bits_per_block).
   BitVec bits;
   BitVec decoded;
+  std::vector<cplx> symbols;  ///< one lane's modulator output, staged
   StbcDecodeScratch solve_scratch;  ///< per-lane gram solve
-  LinkWorkspace lane_ws;  ///< scalar path for tails / symbol staging
   std::size_t width = 0;  ///< lanes currently configured
 
   /// Shapes every plane for `code` over an mr-antenna receiver, `width`
@@ -60,5 +67,19 @@ struct LinkBatchWorkspace {
   void configure(const StbcCode& code, std::size_t mr, std::size_t width,
                  std::size_t bits_per_block);
 };
+
+/// The ML decode and hard demap of one pass, k.width lanes wide
+/// (k.width ≤ ws.width): builds the real-expansion F/y planes from
+/// ws.h_* and ws.rx_*, forms the normal equations, solves each lane's
+/// system with the scalar pivoted eliminator — StbcDecoder::decode_into's
+/// exact path — divides the estimates by sym_scale and hard-demaps them.
+/// BPSK keeps its sign rule (distance ties at ±0 would flip the bit the
+/// sign rule picks); QAM runs the vector distance argmin and unpacks
+/// labels MSB-first like Modulator::demodulate_into.  Lane w's
+/// K·bits_per_symbol bits land at decoded + w·lane_stride.
+void decode_demap_batch(const simd::BatchKernels& k, const StbcCode& code,
+                        std::size_t mr, const Modulator& modem,
+                        double sym_scale, LinkBatchWorkspace& ws,
+                        std::uint8_t* decoded, std::size_t lane_stride);
 
 }  // namespace comimo

@@ -29,25 +29,6 @@ void LinkWorkspace::configure(const StbcCode& code, std::size_t mr) {
   estimates.assign(kk, cplx{0.0, 0.0});
 }
 
-void simulate_block(const StbcDecoder& decoder, LinkWorkspace& ws, Rng& rng) {
-  const StbcCode& code = decoder.code();
-  COMIMO_DCHECK(ws.h.cols() == code.num_tx() &&
-                    ws.encoded.rows() == code.block_length() &&
-                    ws.received.rows() == code.block_length() &&
-                    ws.received.cols() == ws.h.rows() &&
-                    ws.symbols.size() == code.symbols_per_block() &&
-                    ws.estimates.size() == code.symbols_per_block(),
-                "workspace not configured for this code/mr");
-  random_gaussian_into(ws.h, rng);
-  code.encode_into(ws.symbols, ws.encoded);
-  // received(t, j) = Σ_i encoded(t, i)·h(j, i): the same accumulation
-  // order as the historical per-block loop, so sums round identically.
-  multiply_transposed_into(ws.encoded, ws.h, ws.received);
-  add_scaled_noise_into(ws.received, rng, 1.0);
-  decoder.decode_into(ws.h, ws.received, ws.estimates, ws.decode_scratch);
-  link_blocks_counter().add();
-}
-
 TiltedBlockEnergy simulate_block_tilted(const StbcDecoder& decoder,
                                         LinkWorkspace& ws, Rng& rng,
                                         double noise_variance,

@@ -9,11 +9,12 @@
 // block — reuse can never read stale state from a previous block, which
 // tests/test_link_workspace.cpp checks across varying antenna counts.
 //
-// simulate_block() is the bit-identical in-place composition of the
-// allocating path in phy/ber_sweep.cpp: the RNG draw order (channel
-// row-major, then noise row-major) and the accumulation order of the
-// propagation sum are preserved exactly, so golden BER tables from the
-// allocating era keep matching.
+// simulate_block_tilted() is the in-place composition of the historical
+// allocating path in phy/ber_sweep.cpp with scalable draw variances: the
+// RNG draw order (channel row-major, then noise row-major) and the
+// accumulation order of the propagation sum are preserved exactly, so
+// at unit variances it reproduces the golden BER tables of the
+// allocating era — and every lane of the batch link kernel.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +31,7 @@ class Rng;
 /// All per-block buffers of one simulated STBC link, reusable across
 /// blocks and across (mt, mr) shapes.  Plain aggregate: callers fill
 /// `symbols` (and optionally the bit staging areas), call
-/// simulate_block(), and read `estimates` back.
+/// simulate_block_tilted(), and read `estimates` back.
 struct LinkWorkspace {
   CMatrix h;         ///< mr × mt channel draw
   CMatrix encoded;   ///< T × mt transmitted block
@@ -47,14 +48,6 @@ struct LinkWorkspace {
   void configure(const StbcCode& code, std::size_t mr);
 };
 
-/// Runs one block through the link: fresh i.i.d. Rayleigh channel into
-/// ws.h, ws.symbols encoded into ws.encoded, propagated into
-/// ws.received, unit-variance AWGN added, ML decode into ws.estimates.
-/// ws must be configure()d for decoder.code() and the intended mr
-/// (ws.h's row count).  Consumes RNG draws in the exact order of the
-/// historical allocating path.
-void simulate_block(const StbcDecoder& decoder, LinkWorkspace& ws, Rng& rng);
-
 /// Sample-energy side channel of one tilted block draw: what the
 /// importance-sampling caller needs to form the likelihood ratio.
 struct TiltedBlockEnergy {
@@ -62,17 +55,18 @@ struct TiltedBlockEnergy {
   double noise_sq = 0.0;    ///< Σ|n|² over the drawn noise samples
 };
 
-/// simulate_block with the Rayleigh stage drawn from
-/// CN(0, channel_variance) and the AWGN stage from CN(0, noise_variance)
-/// instead of CN(0, 1) — the importance-sampling proposals of the
-/// adaptive rare-event tier (mc/adaptive.h).  channel_variance < 1
-/// over-samples deep fades (the event that dominates high-SNR errors in
-/// a diversity link); noise_variance > 1 over-samples noise bursts.
-/// Returns the per-block sample energies the caller needs for the
-/// likelihood ratio f/g.  Consumes exactly the same RNG draws in the
-/// same order as simulate_block (the counter-based streams make the raw
-/// draws identical; only the scaling differs), and unit variances
-/// reproduce its bits exactly.
+/// Runs one block through the link: a fresh Rayleigh channel drawn
+/// from CN(0, channel_variance) into ws.h, ws.symbols encoded into
+/// ws.encoded, propagated into ws.received, CN(0, noise_variance) AWGN
+/// added, ML decode into ws.estimates.  ws must be configure()d for
+/// decoder.code() and the intended mr (ws.h's row count).  Unit
+/// variances give the nominal link; channel_variance < 1 over-samples
+/// deep fades (the event that dominates high-SNR errors in a diversity
+/// link) and noise_variance > 1 over-samples noise bursts — the
+/// importance-sampling proposals of the adaptive rare-event tier
+/// (mc/adaptive.h).  Returns the per-block sample energies the caller
+/// needs for the likelihood ratio f/g.  The counter-based streams make
+/// the raw draws identical at any variance; only the scaling differs.
 TiltedBlockEnergy simulate_block_tilted(const StbcDecoder& decoder,
                                         LinkWorkspace& ws, Rng& rng,
                                         double noise_variance,

@@ -16,7 +16,7 @@
 #include "comimo/numeric/simd/simd.h"
 #include "comimo/obs/trace.h"
 #include "comimo/phy/detector.h"
-#include "comimo/phy/link_workspace.h"
+#include "comimo/phy/link_batch.h"
 
 namespace comimo {
 
@@ -131,6 +131,32 @@ void CoopHopBlockKernel::broadcast_lane(HopBatchWorkspace& ws,
   }
 }
 
+void CoopHopBlockKernel::long_haul_batch(
+    HopBatchWorkspace& ws, std::size_t first, std::size_t count,
+    const StbcDecoder& decoder_use, Rng* channel_rngs,
+    AwgnChannel* long_haul_noises, AwgnChannel* local_noises,
+    const simd::BatchKernels* kernels) const {
+  COMIMO_CHECK(count >= 1 && first + count <= ws.width &&
+                   first + count <= kMaxLanes,
+               "lanes must fit the configured lane width");
+  const StbcCode& code_use = decoder_use.code();
+  ws.configure_long_haul(code_use, mr_, ws.width,
+                         code_use.symbols_per_block() *
+                             static_cast<std::size_t>(b_));
+  const simd::BatchKernels& k = kernels ? *kernels : simd::active_kernels();
+  if (count == ws.width && count == k.width) {
+    long_haul_pass(ws, 0, k, decoder_use, channel_rngs, long_haul_noises,
+                   local_noises);
+    return;
+  }
+  const simd::BatchKernels& scalar =
+      *simd::kernels_for_tier(simd::Tier::kScalar);
+  for (std::size_t l = first; l < first + count; ++l) {
+    long_haul_pass(ws, l, scalar, decoder_use, channel_rngs + l,
+                   long_haul_noises + l, local_noises + l);
+  }
+}
+
 // Long haul for the active design (the first mt_use belief streams; the
 // head is always antenna 0).  Symbol scaling: the solver's γ_b per unit
 // ‖H‖²_F is ē_b/(N0·mt); with unit noise variance and the code's 1/√mt
@@ -140,82 +166,11 @@ void CoopHopBlockKernel::broadcast_lane(HopBatchWorkspace& ws,
 // received energy equals ē_b.  Degraded blocks chunk into the smaller
 // code's sub-blocks (K divides evenly down the whole G4 → G3 →
 // Alamouti → SISO ladder).
-void CoopHopBlockKernel::long_haul_lane(HopBatchWorkspace& ws,
-                                        std::size_t lane,
-                                        const StbcDecoder& decoder_use,
-                                        Rng& channel_rng,
-                                        AwgnChannel& long_haul_noise,
-                                        AwgnChannel& local_noise) const {
-  const StbcCode& code_use = decoder_use.code();
-  const auto mt_use = static_cast<unsigned>(code_use.num_tx());
-  const std::size_t k_use = code_use.symbols_per_block();
-  const std::size_t t_use = code_use.block_length();
-  const std::size_t sub_bits = k_use * static_cast<std::size_t>(b_);
-  const double sym_scale = std::sqrt(static_cast<double>(b_) * ebar_ / n0_ /
-                                     code_use.symbol_weight());
-  LinkWorkspace& lw = ws.link.lane_ws;
-  lw.configure(code_use, mr_);
-  if (ws.lane_ant_syms.size() < mt_use) ws.lane_ant_syms.resize(mt_use);
-  std::uint8_t* decoded_out = ws.decoded_lane(lane);
-  for (std::size_t sub = 0; sub < bits_per_block_; sub += sub_bits) {
-    // --- Step 2: every antenna encodes its own belief; the receive
-    // cluster observes the superposition through H plus unit noise.
-    for (unsigned i = 0; i < mt_use; ++i) {
-      std::vector<cplx>& syms = ws.lane_ant_syms[i];
-      modem_->modulate_into({ws.belief(i, lane) + sub, sub_bits}, syms);
-      for (auto& v : syms) v *= sym_scale;
-    }
-    random_gaussian_into(lw.h, channel_rng);
-    // Every antenna column carries its own (possibly mis-decoded)
-    // belief, so the block is assembled per antenna instead of via
-    // encode_into; products associate exactly as the batched
-    // stbc_encode_multi kernel, so sums round identically.
-    for (std::size_t t = 0; t < t_use; ++t) {
-      for (unsigned i = 0; i < mt_use; ++i) {
-        cplx c_ti{0.0, 0.0};
-        for (std::size_t k = 0; k < k_use; ++k) {
-          c_ti += code_use.coeff_a(t, i, k) * ws.lane_ant_syms[i][k] +
-                  code_use.coeff_b(t, i, k) *
-                      std::conj(ws.lane_ant_syms[i][k]);
-        }
-        lw.encoded(t, i) = c_ti * code_use.power_scale();
-      }
-    }
-    multiply_transposed_into(lw.encoded, lw.h, lw.received);
-    for (std::size_t t = 0; t < t_use; ++t) {
-      for (unsigned j = 0; j < mr_; ++j) {
-        lw.received(t, j) += long_haul_noise.sample();
-      }
-    }
-
-    // --- Step 3: non-head receivers forward raw samples to the head
-    // over local links (analog forwarding adds local noise); the head
-    // then joint-decodes in place.
-    for (unsigned j = 1; j < mr_; ++j) {
-      for (std::size_t t = 0; t < t_use; ++t) {
-        lw.received(t, j) += local_noise.sample() * sym_scale;
-      }
-    }
-
-    decoder_use.decode_into(lw.h, lw.received, lw.estimates,
-                            lw.decode_scratch);
-    for (auto& v : lw.estimates) v /= sym_scale;
-    modem_->demodulate_into(lw.estimates, lw.decoded);
-    std::copy(lw.decoded.begin(), lw.decoded.end(), decoded_out + sub);
-  }
-}
-
-void CoopHopBlockKernel::long_haul_batch(
-    HopBatchWorkspace& ws, std::size_t count, const StbcDecoder& decoder_use,
-    Rng* channel_rngs, AwgnChannel* long_haul_noises,
-    AwgnChannel* local_noises, const simd::BatchKernels* kernels) const {
-  const simd::BatchKernels& k =
-      kernels ? *kernels : simd::active_kernels();
-  const std::size_t W = count;
-  COMIMO_CHECK(W == k.width && W >= 1 && W <= kMaxLanes,
-               "count must equal the kernel table's lane width");
-  COMIMO_CHECK(ws.width == W,
-               "workspace width must match the kernel lane width");
+void CoopHopBlockKernel::long_haul_pass(
+    HopBatchWorkspace& ws, std::size_t first, const simd::BatchKernels& k,
+    const StbcDecoder& decoder_use, Rng* channel_rngs,
+    AwgnChannel* long_haul_noises, AwgnChannel* local_noises) const {
+  const std::size_t W = k.width;
   const StbcCode& code_use = decoder_use.code();
   const std::size_t mt_use = code_use.num_tx();
   const std::size_t k_use = code_use.symbols_per_block();
@@ -223,28 +178,22 @@ void CoopHopBlockKernel::long_haul_batch(
   const std::size_t sub_bits = k_use * static_cast<std::size_t>(b_);
   const double sym_scale = std::sqrt(static_cast<double>(b_) * ebar_ / n0_ /
                                      code_use.symbol_weight());
-  ws.configure_long_haul(code_use, mr_, W, sub_bits);
   LinkBatchWorkspace& lb = ws.link;
-  const cplx* coeff_a = code_use.coeff_a_flat().data();
-  const cplx* coeff_b = code_use.coeff_b_flat().data();
-  const std::size_t rows = 2 * t_use * mr_;
-  const std::size_t cols = 2 * k_use;
-  const int b = modem_->bits_per_symbol();
 
   for (std::size_t sub = 0; sub < bits_per_block_; sub += sub_bits) {
-    // --- Step 2, W lanes wide.  Modulation stays scalar per lane (a
-    // table lookup); unscaled symbols scatter into the per-antenna SoA
-    // planes, then every arithmetic stage runs as vector ops whose
-    // lanes round exactly like the scalar path above.
+    // --- Step 2: every antenna encodes its own belief; the receive
+    // cluster observes the superposition through H plus unit noise.
+    // Modulation stays scalar per lane (a table lookup); unscaled
+    // symbols scatter into the per-antenna SoA planes, then every
+    // arithmetic stage runs as vector ops whose lanes round exactly like
+    // the scalar block.
     for (std::size_t i = 0; i < mt_use; ++i) {
       for (std::size_t w = 0; w < W; ++w) {
-        modem_->modulate_into({ws.belief(i, w) + sub, sub_bits},
-                              lb.lane_ws.symbols);
+        modem_->modulate_into({ws.belief(i, first + w) + sub, sub_bits},
+                              lb.symbols);
         for (std::size_t s = 0; s < k_use; ++s) {
-          ws.ant_sym_re[(i * k_use + s) * W + w] =
-              lb.lane_ws.symbols[s].real();
-          ws.ant_sym_im[(i * k_use + s) * W + w] =
-              lb.lane_ws.symbols[s].imag();
+          ws.ant_sym_re[(i * k_use + s) * W + w] = lb.symbols[s].real();
+          ws.ant_sym_im[(i * k_use + s) * W + w] = lb.symbols[s].imag();
         }
       }
     }
@@ -252,7 +201,8 @@ void CoopHopBlockKernel::long_haul_batch(
             sym_scale);
     simd::random_gaussian_fill_batch(lb.h_re.data(), lb.h_im.data(),
                                      mr_ * mt_use, W, channel_rngs, 1.0);
-    k.stbc_encode_multi(coeff_a, coeff_b, t_use, mt_use, k_use,
+    k.stbc_encode_multi(code_use.coeff_a_flat().data(),
+                        code_use.coeff_b_flat().data(), t_use, mt_use, k_use,
                         code_use.power_scale(), ws.ant_sym_re.data(),
                         ws.ant_sym_im.data(), lb.enc_re.data(),
                         lb.enc_im.data());
@@ -269,9 +219,11 @@ void CoopHopBlockKernel::long_haul_batch(
         lb.rx_im[e * W + w] += z.imag();
       }
     }
-    // …and column-major over (j, t) for the step-3 collection links
-    // (the complex·double scale is componentwise, so adding the scaled
-    // components reproduces `received += sample() * sym_scale` exactly).
+    // --- Step 3: non-head receivers forward raw samples to the head
+    // over local links (analog forwarding adds local noise), column-major
+    // over (j, t); the complex·double scale is componentwise, so adding
+    // the scaled components reproduces `received += sample() * sym_scale`
+    // exactly.  The head then joint-decodes.
     for (std::size_t w = 0; w < W; ++w) {
       for (unsigned j = 1; j < mr_; ++j) {
         for (std::size_t t = 0; t < t_use; ++t) {
@@ -281,78 +233,8 @@ void CoopHopBlockKernel::long_haul_batch(
         }
       }
     }
-
-    // ML decode: the F/y build and the normal-equation dot products are
-    // vectorized; the pivoted solve is data-dependent per lane, so each
-    // lane's gram/rhs is extracted and solved with the scalar
-    // eliminator — the exact code path (and bits) of
-    // StbcDecoder::decode_into.
-    k.stbc_build_fy(coeff_a, coeff_b, t_use, mt_use, k_use, mr_,
-                    code_use.power_scale(), lb.h_re.data(), lb.h_im.data(),
-                    lb.rx_re.data(), lb.rx_im.data(), lb.f.data(),
-                    lb.y.data());
-    k.gram_rhs(lb.f.data(), lb.y.data(), rows, cols, lb.gram.data(),
-               lb.rhs.data());
-    StbcDecodeScratch& sc = lb.solve_scratch;
-    for (std::size_t w = 0; w < W; ++w) {
-      sc.gram.resize(cols, cols);
-      sc.rhs.assign(cols, cplx{0.0, 0.0});
-      for (std::size_t c1 = 0; c1 < cols; ++c1) {
-        for (std::size_t c2 = 0; c2 < cols; ++c2) {
-          sc.gram(c1, c2) = cplx{lb.gram[(c1 * cols + c2) * W + w], 0.0};
-        }
-        sc.rhs[c1] = cplx{lb.rhs[c1 * W + w], 0.0};
-      }
-      sc.gram.solve_into(sc.rhs, sc.x, sc.solve_work);
-      for (std::size_t s = 0; s < k_use; ++s) {
-        lb.est_re[s * W + w] = sc.x[2 * s].real();
-        lb.est_im[s * W + w] = sc.x[2 * s + 1].real();
-      }
-    }
-    k.divide(lb.est_re.data(), lb.est_im.data(), k_use, sym_scale);
-
-    // Hard demapping: BPSK keeps its sign rule, QAM runs the vector
-    // distance argmin and unpacks labels MSB-first like demodulate_into.
-    if (b == 1) {
-      for (std::size_t w = 0; w < W; ++w) {
-        std::uint8_t* dec_out = ws.decoded_lane(w) + sub;
-        for (std::size_t s = 0; s < k_use; ++s) {
-          dec_out[s] = bpsk_hard_bit(lb.est_re[s * W + w]);
-        }
-      }
-    } else {
-      const std::vector<cplx>& points = modem_->constellation();
-      k.qam_nearest(lb.est_re.data(), lb.est_im.data(), k_use, points.data(),
-                    points.size(), lb.labels.data());
-      for (std::size_t w = 0; w < W; ++w) {
-        std::uint8_t* dec_out = ws.decoded_lane(w) + sub;
-        std::size_t pos = 0;
-        for (std::size_t s = 0; s < k_use; ++s) {
-          const std::uint32_t label = lb.labels[s * W + w];
-          for (int bit = b - 1; bit >= 0; --bit) {
-            dec_out[pos++] = static_cast<std::uint8_t>((label >> bit) & 1u);
-          }
-        }
-      }
-    }
-  }
-}
-
-void CoopHopBlockKernel::run_group_serial(HopBatchWorkspace& ws,
-                                          const std::uint8_t* payload,
-                                          std::size_t blk0, std::size_t count,
-                                          std::uint64_t seed,
-                                          const StbcDecoder& decoder_use,
-                                          GroupStats* lane_stats) const {
-  COMIMO_CHECK(count >= 1 && count <= kMaxLanes && count <= ws.width,
-               "group must fit the configured lane width");
-  LaneStreams streams(seed, local_noise_var_, blk0, count);
-  for (std::size_t w = 0; w < count; ++w) {
-    broadcast_lane(ws, w,
-                   {payload + (blk0 + w) * bits_per_block_, bits_per_block_},
-                   streams.local[w], lane_stats[w]);
-    long_haul_lane(ws, w, decoder_use, streams.channel[w],
-                   streams.long_haul[w], streams.local[w]);
+    decode_demap_batch(k, code_use, mr_, *modem_, sym_scale, lb,
+                       ws.decoded_lane(first) + sub, bits_per_block_);
   }
 }
 
@@ -368,8 +250,8 @@ void CoopHopBlockKernel::run_group_batch(
                    {payload + (blk0 + w) * bits_per_block_, bits_per_block_},
                    streams.local[w], lane_stats[w]);
   }
-  long_haul_batch(ws, count, decoder_use, streams.channel, streams.long_haul,
-                  streams.local, kernels);
+  long_haul_batch(ws, 0, count, decoder_use, streams.channel,
+                  streams.long_haul, streams.local, kernels);
 }
 
 namespace {
@@ -387,7 +269,7 @@ namespace {
 /// per-block outputs merge in block order, so the hop result is
 /// bit-identical on 1 or N workers — and, because each batch lane
 /// reproduces the scalar block's bits exactly, identical at every SIMD
-/// tier and group width too.
+/// tier and pass width too.
 BitVec run_hop(const UnderlayHopPlan& plan, const BitVec& payload,
                double local_snr_db, std::uint64_t seed,
                const HopFaultConfig& faults, CoopHopSimResult& result,
@@ -428,16 +310,23 @@ BitVec run_hop(const UnderlayHopPlan& plan, const BitVec& payload,
   };
   std::vector<BlockOut> outs(num_blocks);
 
-  // Blocks travel in groups of the pinned SIMD lane width.  A group
-  // whose lanes share one control flow — no faults, or RLNC mode with a
-  // uniform degrade state (the dropout predicate is monotone in the
-  // block index, so only the group straddling dropout_block mixes) —
-  // runs the W-wide long haul; everything else (ARQ retransmission
-  // divergence, ragged tails, the mixed group) takes the bit-identical
-  // lane-serial path.
+  // Blocks travel in groups of the pinned SIMD lane width.  Every
+  // block owns its channel, noise and erasure streams, so a group runs
+  // each lane's broadcast, then every lane's first long-haul attempt in
+  // one long_haul_batch call — one W-wide pass when the group is full
+  // and its lanes share a design — and only then per-lane bookkeeping
+  // and ARQ retries at width 1.  The dropout predicate is monotone in
+  // the block index, so only the group straddling dropout_block mixes
+  // designs; its lanes run at width 1 too.
   const std::size_t group =
       std::max<std::size_t>(std::size_t{1}, simd::batch_width());
   const std::size_t num_groups = (num_blocks + group - 1) / group;
+  const auto degraded = [&](std::size_t blk) {
+    return faults.enabled && mt > 1 && blk >= faults.dropout_block;
+  };
+  const auto decoder_for = [&](std::size_t blk) -> const StbcDecoder& {
+    return degraded(blk) ? *decoder_degraded : decoder_full;
+  };
 
   const auto run_group = [&](std::size_t g) {
     const std::size_t blk0 = g * group;
@@ -446,103 +335,60 @@ BitVec run_hop(const UnderlayHopPlan& plan, const BitVec& payload,
     // executes; each group fully overwrites what it reads.
     thread_local HopBatchWorkspace ws;
     kernel.prepare_batch(ws, group);
-
-    bool batchable = count == group && group > 1;
-    bool degrade_all = false;
-    if (batchable && faults.enabled) {
-      if (!faults.rlnc) {
-        batchable = false;  // ARQ attempt counts diverge per lane
-      } else {
-        const bool first = blk0 >= faults.dropout_block && mt > 1;
-        const bool last = blk0 + count - 1 >= faults.dropout_block && mt > 1;
-        batchable = first == last;
-        degrade_all = first;
-      }
-    }
-
-    if (batchable) {
-      CoopHopBlockKernel::GroupStats
-          lane_stats[CoopHopBlockKernel::kMaxLanes]{};
-      kernel.run_group_batch(ws, padded.data(), blk0, count, seed,
-                             degrade_all ? *decoder_degraded : decoder_full,
-                             lane_stats);
-      for (std::size_t w = 0; w < count; ++w) {
-        const std::size_t blk = blk0 + w;
-        BlockOut& slot = outs[blk];
-        slot.intra_errors = lane_stats[w].intra_errors;
-        slot.intra_bits = lane_stats[w].intra_bits;
-        const std::uint8_t* dec = ws.decoded_lane(w);
-        slot.decoded.assign(dec, dec + bits_per_block);
-        if (faults.enabled) {  // RLNC mode here by construction
-          if (degrade_all) ++slot.res.degraded_blocks;
-          ++slot.res.blocks;
-          Rng fault_rng(faults.seed, 0xFA000 + blk);
-          slot.erased = fault_rng.bernoulli(faults.block_erasure_prob);
-        }
-      }
-      return;
-    }
-
-    // Lane-serial path: the historical per-block flow, one lane per
-    // block (each block owns its streams, so running the group's
-    // blocks sequentially is the original schedule).
     LaneStreams streams(seed, kernel.local_noise_var(), blk0, count);
+    CoopHopBlockKernel::GroupStats lane_stats[CoopHopBlockKernel::kMaxLanes]{};
+    for (std::size_t w = 0; w < count; ++w) {
+      kernel.broadcast_lane(
+          ws, w, {padded.data() + (blk0 + w) * bits_per_block, bits_per_block},
+          streams.local[w], lane_stats[w]);
+    }
+    if (degraded(blk0) == degraded(blk0 + count - 1)) {
+      kernel.long_haul_batch(ws, 0, count, decoder_for(blk0), streams.channel,
+                             streams.long_haul, streams.local);
+    } else {
+      for (std::size_t w = 0; w < count; ++w) {
+        kernel.long_haul_batch(ws, w, 1, decoder_for(blk0 + w),
+                               streams.channel, streams.long_haul,
+                               streams.local);
+      }
+    }
+
     for (std::size_t w = 0; w < count; ++w) {
       const std::size_t blk = blk0 + w;
       BlockOut& slot = outs[blk];
-      Rng fault_rng(faults.seed, 0xFA000 + blk);
-
-      CoopHopBlockKernel::GroupStats st;
-      kernel.broadcast_lane(
-          ws, w, {padded.data() + blk * bits_per_block, bits_per_block},
-          streams.local[w], st);
-      slot.intra_errors = st.intra_errors;
-      slot.intra_bits = st.intra_bits;
-
-      if (!faults.enabled) {
-        kernel.long_haul_lane(ws, w, decoder_full, streams.channel[w],
-                              streams.long_haul[w], streams.local[w]);
-        const std::uint8_t* dec = ws.decoded_lane(w);
-        slot.decoded.assign(dec, dec + bits_per_block);
-      } else if (faults.rlnc) {
-        // Coded repair mode: one send, one erasure draw, no retries —
-        // the serial per-generation repair pass below rebuilds erased
-        // blocks.
-        const bool degrade = blk >= faults.dropout_block && mt > 1;
-        if (degrade) ++slot.res.degraded_blocks;
+      slot.intra_errors = lane_stats[w].intra_errors;
+      slot.intra_bits = lane_stats[w].intra_bits;
+      bool arrived = true;
+      if (faults.enabled) {
+        if (degraded(blk)) ++slot.res.degraded_blocks;
         ++slot.res.blocks;
-        kernel.long_haul_lane(ws, w,
-                              degrade ? *decoder_degraded : decoder_full,
-                              streams.channel[w], streams.long_haul[w],
-                              streams.local[w]);
-        slot.erased = fault_rng.bernoulli(faults.block_erasure_prob);
+        Rng fault_rng(faults.seed, 0xFA000 + blk);
+        if (faults.rlnc) {
+          // Coded repair mode: one send, one erasure draw, no retries —
+          // the serial per-generation repair pass below rebuilds erased
+          // blocks.
+          slot.erased = fault_rng.bernoulli(faults.block_erasure_prob);
+        } else {
+          // Retransmission: each erased attempt is retried with fresh
+          // channel and noise from the block's own streams.
+          unsigned attempts = 1;
+          arrived = !fault_rng.bernoulli(faults.block_erasure_prob);
+          while (!arrived && attempts < faults.max_attempts) {
+            kernel.long_haul_batch(ws, w, 1, decoder_for(blk),
+                                   streams.channel, streams.long_haul,
+                                   streams.local);
+            ++attempts;
+            arrived = !fault_rng.bernoulli(faults.block_erasure_prob);
+          }
+          if (attempts > 1) ++slot.res.retransmitted_blocks;
+          if (!arrived) ++slot.res.lost_blocks;
+        }
+      }
+      if (arrived) {
         const std::uint8_t* dec = ws.decoded_lane(w);
         slot.decoded.assign(dec, dec + bits_per_block);
       } else {
-        const bool degrade = blk >= faults.dropout_block && mt > 1;
-        if (degrade) ++slot.res.degraded_blocks;
-        ++slot.res.blocks;
-        const StbcDecoder& decoder_use =
-            degrade ? *decoder_degraded : decoder_full;
-        bool got_through = false;
-        unsigned attempts = 0;
-        while (attempts < faults.max_attempts) {
-          kernel.long_haul_lane(ws, w, decoder_use, streams.channel[w],
-                                streams.long_haul[w], streams.local[w]);
-          ++attempts;
-          if (!fault_rng.bernoulli(faults.block_erasure_prob)) {
-            got_through = true;
-            break;
-          }
-        }
-        if (attempts > 1) ++slot.res.retransmitted_blocks;
-        if (got_through) {
-          const std::uint8_t* dec = ws.decoded_lane(w);
-          slot.decoded.assign(dec, dec + bits_per_block);
-        } else {
-          slot.decoded.assign(bits_per_block, 0);  // never arrived
-          ++slot.res.lost_blocks;
-        }
+        slot.decoded.assign(bits_per_block, 0);  // never arrived
       }
     }
   };

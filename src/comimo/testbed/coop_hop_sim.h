@@ -104,17 +104,18 @@ struct CoopHopSimResult {
 /// head broadcast, per-antenna long-haul STBC, analog collection — for
 /// W independent blocks on a caller-owned HopBatchWorkspace.
 ///
-/// Two equivalent group drivers:
-///   * run_group_serial — every lane through the historical scalar
-///     per-block path (the reference, and the ragged-tail fallback);
-///   * run_group_batch  — lane-serial broadcast (sequential AwgnChannel
-///     streams), then the W-wide SoA long haul on the batch kernels.
-/// Both derive each lane's randomness from the same counter-based
-/// (seed, block-index) streams as the historical simulation, and the
-/// batch long haul preserves every rounding of the scalar one (the
-/// simd/ bit-identity contract), so lane w of either driver is
-/// bit-identical to the original run_block on block blk0 + w —
-/// asserted lane-bitwise by tests/test_hop_batch.cpp at every tier.
+/// The broadcast runs lane by lane (sequential AwgnChannel streams);
+/// the long haul has one body, the W-wide SoA pass on the batch
+/// kernels.  A group that fills the workspace's width runs it once on
+/// the pinned table; every other lane (a ragged tail, an ARQ retry, a
+/// group whose lanes need different STBC designs) runs the same body
+/// at width 1 on the scalar table.  Each lane derives its randomness
+/// from the counter-based (seed, block-index) streams of the historical
+/// per-block simulation, and the batch kernels preserve every rounding
+/// of the scalar path (the simd/ bit-identity contract), so lane w is
+/// bit-identical to that simulation's block blk0 + w — asserted
+/// lane-bitwise against tests/hop_oracle.h by tests/test_hop_batch.cpp
+/// at every tier.
 class CoopHopBlockKernel {
  public:
   /// The widest group the stack-allocated per-lane stream arrays carry
@@ -139,36 +140,26 @@ class CoopHopBlockKernel {
                       std::span<const std::uint8_t> bits,
                       AwgnChannel& local_noise, GroupStats& stats) const;
 
-  /// Steps 2–3 for one lane through the scalar path (LinkWorkspace
-  /// math), writing the head's decode into ws.decoded_lane(lane).
-  /// `decoder_use` may be a ladder-degraded design; sub-blocks then
-  /// chunk accordingly.  Safe to call repeatedly on one lane (ARQ
-  /// retransmission attempts — fresh channel/noise from the streams).
-  void long_haul_lane(HopBatchWorkspace& ws, std::size_t lane,
-                      const StbcDecoder& decoder_use, Rng& channel_rng,
-                      AwgnChannel& long_haul_noise,
-                      AwgnChannel& local_noise) const;
-
-  /// Steps 2–3 for `count` lanes at once on the batch kernels (`count`
-  /// must equal the kernel table's lane width).  One stream triple per
-  /// lane, consumed in the scalar draw order.  `kernels` defaults to
-  /// the pinned simd::active_kernels(); tests pass explicit tiers.
-  void long_haul_batch(HopBatchWorkspace& ws, std::size_t count,
-                       const StbcDecoder& decoder_use, Rng* channel_rngs,
-                       AwgnChannel* long_haul_noises,
+  /// Steps 2–3 for lanes [first, first + count) of `ws`, writing the
+  /// head's decode into ws.decoded_lane(lane).  Lane l draws from the
+  /// stream triple at index l of the three arrays, in the scalar draw
+  /// order.  When the lanes fill the workspace's width and that width
+  /// is the table's, they run as one pass on `kernels` (default: the
+  /// pinned simd::active_kernels(); tests pass explicit tiers); else
+  /// each lane runs at width 1 on the scalar table.  `decoder_use` may
+  /// be a ladder-degraded design; sub-blocks then chunk accordingly.
+  /// Safe to call repeatedly on one lane (ARQ retransmission attempts —
+  /// fresh channel/noise from the streams).
+  void long_haul_batch(HopBatchWorkspace& ws, std::size_t first,
+                       std::size_t count, const StbcDecoder& decoder_use,
+                       Rng* channel_rngs, AwgnChannel* long_haul_noises,
                        AwgnChannel* local_noises,
                        const simd::BatchKernels* kernels = nullptr) const;
 
-  /// `count` consecutive blocks (blk0, blk0+1, …) of `payload` through
-  /// the scalar per-lane path, streams constructed internally from
-  /// (seed, block index).  lane_stats receives `count` entries.
-  void run_group_serial(HopBatchWorkspace& ws, const std::uint8_t* payload,
-                        std::size_t blk0, std::size_t count,
-                        std::uint64_t seed, const StbcDecoder& decoder_use,
-                        GroupStats* lane_stats) const;
-
-  /// The batched equivalent of run_group_serial — bit-identical per
-  /// lane; `count` must equal the kernel table's lane width.
+  /// `count` consecutive blocks (blk0, blk0+1, …) of `payload`, streams
+  /// constructed internally from (seed, block index): every lane's
+  /// broadcast, then long_haul_batch over lanes [0, count).  lane_stats
+  /// receives `count` entries.
   void run_group_batch(HopBatchWorkspace& ws, const std::uint8_t* payload,
                        std::size_t blk0, std::size_t count,
                        std::uint64_t seed, const StbcDecoder& decoder_use,
@@ -186,6 +177,14 @@ class CoopHopBlockKernel {
   }
 
  private:
+  /// One long-haul pass of k.width lanes starting at lane `first`,
+  /// drawing from the stream triples at index 0..k.width of the arrays.
+  void long_haul_pass(HopBatchWorkspace& ws, std::size_t first,
+                      const simd::BatchKernels& k,
+                      const StbcDecoder& decoder_use, Rng* channel_rngs,
+                      AwgnChannel* long_haul_noises,
+                      AwgnChannel* local_noises) const;
+
   std::unique_ptr<Modulator> modem_;
   StbcDecoder decoder_full_;
   int b_ = 1;

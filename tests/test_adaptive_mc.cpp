@@ -19,6 +19,7 @@
 #include "comimo/mc/engine.h"
 #include "comimo/phy/ber.h"
 #include "comimo/phy/ber_sweep.h"
+#include "comimo/phy/hop_batch.h"
 
 namespace comimo {
 namespace {
@@ -209,14 +210,14 @@ TEST(AdaptiveMc, AnalyticReferenceMatchesEmpirical) {
 
 TEST(ImportanceSampling, WeightsAreUnitAtScaleOne) {
   const WaveformBerKernel kernel(2, 2, 2, db_to_linear(6.0));
-  LinkWorkspace ws_a;
+  HopBatchWorkspace ws_a;
   LinkWorkspace ws_b;
-  kernel.prepare(ws_a);
+  kernel.prepare_batch(ws_a, 1);
   kernel.prepare(ws_b);
   for (std::uint64_t t = 0; t < 50; ++t) {
     Rng ra(123, t);
     Rng rb(123, t);
-    const std::size_t plain = kernel.run_block(ws_a, ra);
+    const std::size_t plain = kernel.run_block_batch(ws_a, &ra, 1);
     const WaveformBerKernel::IsBlock is =
         kernel.run_block_is(ws_b, rb, 1.0, 1.0);
     EXPECT_EQ(is.bit_errors, plain);

@@ -1,11 +1,13 @@
-// The hop-batch contract: CoopHopBlockKernel's W-wide group driver must
-// reproduce the lane-serial reference driver bit for bit — per lane,
-// per tier, for full STBC designs and every ladder-degraded shape — and
-// the serial group driver itself must equal running each block alone.
+// The hop-batch contract: CoopHopBlockKernel's group driver must
+// reproduce the lane-serial oracle (hop_oracle.h) bit for bit — per
+// lane, per tier, for full STBC designs and every ladder-degraded shape
+// — and a group of any count must equal running each block alone.
 // Tiers the host cannot run (e.g. AVX-512 without avx512f) simply do
 // not appear in kernels_for_tier and are skipped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "comimo/phy/stbc.h"
 #include "comimo/testbed/coop_hop_sim.h"
 #include "comimo/underlay/cooperative_hop.h"
+#include "hop_oracle.h"
 
 namespace comimo {
 namespace {
@@ -67,6 +70,7 @@ TEST(HopBatch, GroupBatchMatchesGroupSerialAtEveryTier) {
        {Shape{2, 2}, Shape{3, 2}, Shape{4, 2}, Shape{4, 4}}) {
     const UnderlayHopPlan plan = make_plan(shape.mt, shape.mr);
     const CoopHopBlockKernel kernel(plan, 30.0);
+    oracle::HopOracle serial(plan, 30.0);
     const std::size_t bpb = kernel.bits_per_block();
     for (const BatchKernels* k : runnable_tiers()) {
       const std::size_t width = k->width;
@@ -79,7 +83,7 @@ TEST(HopBatch, GroupBatchMatchesGroupSerialAtEveryTier) {
             stats_serial[CoopHopBlockKernel::kMaxLanes]{};
         CoopHopBlockKernel::GroupStats
             stats_batch[CoopHopBlockKernel::kMaxLanes]{};
-        kernel.run_group_serial(ws_serial, payload.data(), blk0, width, 17,
+        serial.run_group_serial(ws_serial, payload.data(), blk0, width, 17,
                                 kernel.decoder_full(), stats_serial);
         kernel.run_group_batch(ws_batch, payload.data(), blk0, width, 17,
                                kernel.decoder_full(), stats_batch, k);
@@ -97,35 +101,47 @@ TEST(HopBatch, GroupBatchMatchesGroupSerialAtEveryTier) {
 }
 
 TEST(HopBatch, GroupSerialEqualsRunningEachBlockAlone) {
-  // The ragged-tail path: a group of any count must be exactly the
-  // concatenation of single-block runs — streams are (seed, block
-  // index), never (seed, lane).
+  // The ragged-tail path: a group of any count — one pinned-width pass
+  // when it fills the pinned width, else one width-1 pass per lane —
+  // must be exactly the concatenation of single-block runs (streams are
+  // (seed, block index), never (seed, lane)), and each block must equal
+  // the lane-serial oracle's.
   const UnderlayHopPlan plan = make_plan(2, 2);
   const CoopHopBlockKernel kernel(plan, 30.0);
+  oracle::HopOracle serial(plan, 30.0);
   const std::size_t bpb = kernel.bits_per_block();
-  const std::size_t max_count = 5;
+  const std::size_t max_count =
+      std::max<std::size_t>(5, simd::batch_width());
   const std::size_t blk0 = 7;
   const BitVec payload = random_bits((blk0 + max_count) * bpb, 0xFEED);
   for (std::size_t count = 1; count <= max_count; ++count) {
-    HopBatchWorkspace ws_group, ws_one;
+    HopBatchWorkspace ws_group, ws_one, ws_oracle;
     kernel.prepare_batch(ws_group, count);
     kernel.prepare_batch(ws_one, 1);
+    kernel.prepare_batch(ws_oracle, 1);
     CoopHopBlockKernel::GroupStats
         group_stats[CoopHopBlockKernel::kMaxLanes]{};
-    kernel.run_group_serial(ws_group, payload.data(), blk0, count, 29,
-                            kernel.decoder_full(), group_stats);
+    kernel.run_group_batch(ws_group, payload.data(), blk0, count, 29,
+                           kernel.decoder_full(), group_stats);
     for (std::size_t w = 0; w < count; ++w) {
       CoopHopBlockKernel::GroupStats one_stats[1]{};
-      kernel.run_group_serial(ws_one, payload.data(), blk0 + w, 1, 29,
-                              kernel.decoder_full(), one_stats);
+      CoopHopBlockKernel::GroupStats oracle_stats[1]{};
+      kernel.run_group_batch(ws_one, payload.data(), blk0 + w, 1, 29,
+                             kernel.decoder_full(), one_stats);
+      serial.run_group_serial(ws_oracle, payload.data(), blk0 + w, 1, 29,
+                              kernel.decoder_full(), oracle_stats);
       const std::uint8_t* got = ws_group.decoded_lane(w);
-      const std::uint8_t* want = ws_one.decoded_lane(0);
+      const std::uint8_t* one = ws_one.decoded_lane(0);
+      const std::uint8_t* want = ws_oracle.decoded_lane(0);
       for (std::size_t i = 0; i < bpb; ++i) {
+        ASSERT_EQ(got[i], one[i])
+            << "count=" << count << " lane=" << w << " bit=" << i;
         ASSERT_EQ(got[i], want[i])
             << "count=" << count << " lane=" << w << " bit=" << i;
       }
       EXPECT_EQ(group_stats[w].intra_errors, one_stats[0].intra_errors);
       EXPECT_EQ(group_stats[w].intra_bits, one_stats[0].intra_bits);
+      EXPECT_EQ(group_stats[w].intra_errors, oracle_stats[0].intra_errors);
     }
   }
 }
@@ -136,6 +152,7 @@ TEST(HopBatch, DegradedLadderShapesStayLaneBitwise) {
   // sub-blocks exactly like the scalar path at every ladder step.
   const UnderlayHopPlan plan = make_plan(4, 2);
   const CoopHopBlockKernel kernel(plan, 30.0);
+  oracle::HopOracle serial(plan, 30.0);
   const std::size_t bpb = kernel.bits_per_block();
   for (unsigned mt_use = 1; mt_use <= 3; ++mt_use) {
     const StbcDecoder degraded(StbcCode::for_antennas(mt_use));
@@ -150,7 +167,7 @@ TEST(HopBatch, DegradedLadderShapesStayLaneBitwise) {
           stats_serial[CoopHopBlockKernel::kMaxLanes]{};
       CoopHopBlockKernel::GroupStats
           stats_batch[CoopHopBlockKernel::kMaxLanes]{};
-      kernel.run_group_serial(ws_serial, payload.data(), blk0, width, 41,
+      serial.run_group_serial(ws_serial, payload.data(), blk0, width, 41,
                               degraded, stats_serial);
       kernel.run_group_batch(ws_batch, payload.data(), blk0, width, 41,
                              degraded, stats_batch, k);
@@ -209,6 +226,84 @@ TEST(HopBatch, SimulateCooperativeHopInvariantAcrossPoolSizes) {
   EXPECT_EQ(ref.bit_errors, par.bit_errors);
   EXPECT_DOUBLE_EQ(ref.intra_error_rate, par.intra_error_rate);
   EXPECT_TRUE(ref.resilience == par.resilience);
+}
+
+// FNV-1a over 64-bit words, byte by byte.
+struct Fnv1a {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  void add_double(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+TEST(HopBatch, FaultedAndRaggedHopsMatchParentDigest) {
+  // The fault paths no bench reaches: ARQ lanes of one group retrying
+  // different numbers of times, an RLNC group straddling dropout_block,
+  // both degraded from block 0, and fault-free ragged tails, at mt 1..4.
+  // The digest pins every result field to the values the former
+  // lane-serial driver produced; any change in draws, decoders or
+  // bookkeeping moves it.
+  struct Case {
+    bool enabled;
+    bool rlnc;
+    double erasure;
+    unsigned max_attempts;
+    std::size_t dropout_block;
+  };
+  constexpr std::size_t kNever = ~std::size_t{0};
+  const Case cases[] = {
+      {false, false, 0.0, 4, kNever},  // fault-free, ragged tail
+      {true, false, 0.5, 2, kNever},   // ARQ, lanes retry 0 or 1 times
+      {true, false, 0.5, 4, kNever},   // ARQ, lanes retry 0..3 times
+      {true, false, 0.3, 3, 13},       // ARQ, dropout inside a group
+      {true, false, 0.2, 4, 0},        // ARQ degraded from block 0
+      {true, true, 0.3, 4, 13},        // RLNC, group straddles dropout
+      {true, true, 0.2, 4, 0},         // RLNC degraded from block 0
+  };
+  Fnv1a digest;
+  for (unsigned mt = 1; mt <= 4; ++mt) {
+    for (const unsigned mr : {1u, 2u}) {
+      // BPSK (the planner's choice here) plus forced QPSK and 16-QAM, at
+      // a local SNR low enough for broadcast errors.
+      for (const int b : {1, 2, 4}) {
+        UnderlayHopPlan plan = make_plan(mt, mr);
+        plan.b = b;
+        const std::size_t bpb =
+            CoopHopBlockKernel(plan, 12.0).bits_per_block();
+        std::uint64_t seed = 1000 * mt + 100 * mr + 10 * b;
+        for (const Case& c : cases) {
+          CoopHopSimConfig sim;
+          sim.plan = plan;
+          sim.bits = 61 * bpb - 3;  // 61 blocks: ragged at W = 2, 4, 8
+          sim.local_snr_db = 12.0;
+          sim.seed = ++seed;
+          sim.faults.enabled = c.enabled;
+          sim.faults.rlnc = c.rlnc;
+          sim.faults.block_erasure_prob = c.erasure;
+          sim.faults.max_attempts = c.max_attempts;
+          sim.faults.dropout_block = c.dropout_block;
+          sim.faults.seed = seed ^ 0x5A;
+          const CoopHopSimResult r = simulate_cooperative_hop(sim);
+          digest.add(r.bits);
+          digest.add(r.bit_errors);
+          digest.add_double(r.ber);
+          digest.add_double(r.target_ber);
+          digest.add_double(r.intra_error_rate);
+          digest.add(r.resilience.blocks);
+          digest.add(r.resilience.retransmitted_blocks);
+          digest.add(r.resilience.degraded_blocks);
+          digest.add(r.resilience.lost_blocks);
+          digest.add(r.resilience.repair_blocks);
+          digest.add(r.resilience.recovered_blocks);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest.h, 0x2A8398DB8ACD8977ULL) << std::hex << "0x" << digest.h;
 }
 
 TEST(HopBatch, WorkspacePlanesAre64ByteAligned) {

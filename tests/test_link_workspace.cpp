@@ -131,7 +131,7 @@ TEST(LinkWorkspace, SimulateBlockMatchesAllocatingPathBitwise) {
   Rng rng_b(33, 4);
   const std::vector<cplx> expect =
       allocating_reference_block(decoder, 2, ws.symbols, rng_a);
-  simulate_block(decoder, ws, rng_b);
+  simulate_block_tilted(decoder, ws, rng_b, 1.0, 1.0);
   ASSERT_EQ(ws.estimates.size(), expect.size());
   for (std::size_t k = 0; k < expect.size(); ++k) {
     EXPECT_EQ(ws.estimates[k], expect[k]);
@@ -157,7 +157,7 @@ TEST(LinkWorkspace, ReuseAcross1000VaryingShapesHasNoStaleState) {
     Rng rng_ws(0xF00D, blk);
     const std::vector<cplx> expect =
         allocating_reference_block(decoder, mr, ws.symbols, rng_ref);
-    simulate_block(decoder, ws, rng_ws);
+    simulate_block_tilted(decoder, ws, rng_ws, 1.0, 1.0);
     ASSERT_EQ(ws.estimates.size(), expect.size());
     for (std::size_t k = 0; k < expect.size(); ++k) {
       ASSERT_EQ(ws.estimates[k], expect[k])

@@ -1,10 +1,10 @@
 // Tests for the batch-SoA SIMD layer: every vector tier must be
 // bitwise identical to the scalar reference kernels lane by lane, the
-// batched link kernel must reproduce the scalar workspace path exactly
-// (including tails shorter than the lane width and the BPSK sign rule),
-// the batched Monte-Carlo grouping must stay thread-count invariant,
-// and the 64-byte-aligned storage contract must hold everywhere the
-// kernels load from.
+// batched link kernel must reproduce the scalar workspace block exactly
+// (including tails shorter than the lane width, workspaces prepared at
+// any width, and the BPSK sign rule), the batched Monte-Carlo grouping
+// must stay thread-count invariant, and the 64-byte-aligned storage
+// contract must hold everywhere the kernels load from.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include "comimo/numeric/rng.h"
 #include "comimo/numeric/simd/simd.h"
 #include "comimo/phy/ber_sweep.h"
+#include "comimo/phy/hop_batch.h"
 #include "comimo/phy/link_batch.h"
 #include "comimo/phy/link_workspace.h"
 #include "comimo/phy/modulation.h"
@@ -367,7 +368,7 @@ TEST(SimdBatch, RunBlockBatchMatchesRunBlockPerLane) {
        {Shape{1, 2, 2}, Shape{2, 2, 2}, Shape{2, 4, 4}, Shape{4, 2, 2}}) {
     const WaveformBerKernel kernel(shape.b, shape.mt, shape.mr,
                                    db_to_linear(6.0));
-    LinkBatchWorkspace bws;
+    HopBatchWorkspace bws;
     kernel.prepare_batch(bws, width);
     LinkWorkspace ws;
     kernel.prepare(ws);
@@ -382,18 +383,64 @@ TEST(SimdBatch, RunBlockBatchMatchesRunBlockPerLane) {
         std::size_t scalar_errors = 0;
         for (std::size_t i = 0; i < count; ++i) {
           Rng lane_rng(5, base + i);
-          scalar_errors += kernel.run_block(ws, lane_rng);
+          scalar_errors +=
+              kernel.run_block_is(ws, lane_rng, 1.0, 1.0).bit_errors;
           // Lane-major staging must mirror the scalar workspace bits.
           for (std::size_t bit = 0; bit < bpb; ++bit) {
-            ASSERT_EQ(bws.bits[i * bpb + bit], ws.bits[bit])
+            ASSERT_EQ(bws.link.bits[i * bpb + bit], ws.bits[bit])
                 << "b=" << shape.b << " count=" << count << " lane=" << i;
-            ASSERT_EQ(bws.decoded[i * bpb + bit], ws.decoded[bit])
+            ASSERT_EQ(bws.link.decoded[i * bpb + bit], ws.decoded[bit])
                 << "b=" << shape.b << " count=" << count << " lane=" << i;
           }
         }
         EXPECT_EQ(batch_errors, scalar_errors)
             << "b=" << shape.b << " mt=" << shape.mt << " mr=" << shape.mr
             << " count=" << count << " base=" << base;
+      }
+    }
+  }
+}
+
+TEST(SimdBatch, RunBlockBatchAtAnyPreparedWidthMatchesScalarReference) {
+  // A workspace prepared at a width other than the pinned lane width
+  // must still run every lane exactly like the scalar reference block
+  // (unit-scale run_block_is draws the words the untilted block draws).
+  struct Shape {
+    int b;
+    unsigned mt;
+    unsigned mr;
+  };
+  for (const Shape shape : {Shape{1, 2, 2}, Shape{2, 2, 2}, Shape{4, 4, 4}}) {
+    const WaveformBerKernel kernel(shape.b, shape.mt, shape.mr,
+                                   db_to_linear(6.0));
+    const std::size_t bpb = kernel.bits_per_block();
+    LinkWorkspace ref;
+    kernel.prepare(ref);
+    for (const std::size_t width : {1u, 2u, 4u, 8u}) {
+      HopBatchWorkspace ws;
+      kernel.prepare_batch(ws, width);
+      for (std::size_t count = 1; count <= width; ++count) {
+        std::vector<Rng> rngs;
+        for (std::size_t i = 0; i < count; ++i) {
+          rngs.emplace_back(13, 100 * width + 10 * count + i);
+        }
+        const std::size_t errors =
+            kernel.run_block_batch(ws, rngs.data(), count);
+        std::size_t ref_errors = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+          Rng lane_rng(13, 100 * width + 10 * count + i);
+          ref_errors += kernel.run_block_is(ref, lane_rng, 1.0, 1.0).bit_errors;
+          for (std::size_t bit = 0; bit < bpb; ++bit) {
+            ASSERT_EQ(ws.link.bits[i * bpb + bit], ref.bits[bit])
+                << "b=" << shape.b << " width=" << width
+                << " count=" << count << " lane=" << i;
+            ASSERT_EQ(ws.link.decoded[i * bpb + bit], ref.decoded[bit])
+                << "b=" << shape.b << " width=" << width
+                << " count=" << count << " lane=" << i;
+          }
+        }
+        EXPECT_EQ(errors, ref_errors)
+            << "b=" << shape.b << " width=" << width << " count=" << count;
       }
     }
   }
@@ -472,8 +519,9 @@ TEST(AlignedAlloc, VectorsAndMatricesAre64ByteAligned) {
 
 TEST(AlignedAlloc, LinkBatchWorkspacePlanesAre64ByteAligned) {
   const WaveformBerKernel kernel(2, 4, 4, db_to_linear(6.0));
-  LinkBatchWorkspace ws;
-  kernel.prepare_batch(ws, 4);
+  HopBatchWorkspace hws;
+  kernel.prepare_batch(hws, 4);
+  const LinkBatchWorkspace& ws = hws.link;
   const auto aligned = [](const AlignedVec<double>& p) {
     return reinterpret_cast<std::uintptr_t>(p.data()) % 64 == 0;
   };

@@ -373,19 +373,5 @@ TEST(SpatialIndexDifferential, ClusteringOverloadMatchesReference) {
   }
 }
 
-TEST(SpatialIndexDifferential, ProcessWideModeSwitchRoundTrips) {
-  const NetIndexMode original = net_index_mode();
-  set_net_index_mode(NetIndexMode::kReference);
-  EXPECT_EQ(net_index_mode(), NetIndexMode::kReference);
-  CoMimoNetConfig cfg;  // default-initializes from the global
-  EXPECT_EQ(cfg.index_mode, NetIndexMode::kReference);
-  set_net_index_mode(original);
-  EXPECT_EQ(std::string(to_string(NetIndexMode::kGrid)), "grid");
-  EXPECT_EQ(std::string(to_string(NetIndexMode::kReference)), "reference");
-  EXPECT_EQ(parse_net_index_mode("grid"), NetIndexMode::kGrid);
-  EXPECT_EQ(parse_net_index_mode("reference"), NetIndexMode::kReference);
-  EXPECT_THROW((void)parse_net_index_mode("quadtree"), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace comimo
