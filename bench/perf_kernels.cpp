@@ -22,6 +22,7 @@
 #include <new>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "comimo/common/bench_json.h"
@@ -147,77 +148,107 @@ struct LinkKernelRun {
   std::size_t bits = 0;
 };
 
-/// Runs `reps` timed passes and folds them into one LinkKernelRun:
-/// ns_per_block is the median pass (robust against a scheduler hiccup
-/// polluting a single rep), allocs_per_block is accumulated over every
-/// timed pass (so a leak in any rep shows), and bit errors are taken
-/// from the last pass after checking every pass agreed — per-block RNG
-/// streams are Rng(seed, block index), so reps are exact replays.
-template <typename PassFn>
-LinkKernelRun fold_reps(std::size_t reps, std::size_t blocks,
-                        std::size_t bits_per_block, PassFn&& pass) {
-  LinkKernelRun out;
-  std::vector<double> ns_per_rep;
-  ns_per_rep.reserve(reps);
-  std::uint64_t allocs = 0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
+/// Folds timed passes into one LinkKernelRun: ns_per_block is the
+/// median pass (robust against a scheduler hiccup polluting a single
+/// rep), allocs_per_block is accumulated over every timed pass (so a
+/// leak in any rep shows), and bit errors are taken from the last pass
+/// after checking every pass agreed — per-block RNG streams are
+/// Rng(seed, block index), so reps are exact replays.
+class RepFold {
+ public:
+  template <typename PassFn>
+  void time(PassFn&& pass) {
     const std::uint64_t allocs0 =
         g_heap_allocs.load(std::memory_order_relaxed);
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t errors = pass();
     const auto t1 = std::chrono::steady_clock::now();
-    allocs += g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
-    ns_per_rep.push_back(
-        std::chrono::duration<double, std::nano>(t1 - t0).count());
-    COMIMO_CHECK(rep == 0 || errors == out.bit_errors,
+    allocs_ += g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+    COMIMO_CHECK(ns_per_rep_.empty() || errors == bit_errors_,
                  "bit errors changed between reps of the same streams");
-    out.bit_errors = errors;
+    ns_per_rep_.push_back(
+        std::chrono::duration<double, std::nano>(t1 - t0).count());
+    bit_errors_ = errors;
   }
-  std::sort(ns_per_rep.begin(), ns_per_rep.end());
-  const double median_ns =
-      reps % 2 == 1 ? ns_per_rep[reps / 2]
-                    : 0.5 * (ns_per_rep[reps / 2 - 1] + ns_per_rep[reps / 2]);
-  out.ns_per_block = median_ns / static_cast<double>(blocks);
-  out.allocs_per_block = static_cast<double>(allocs) /
-                         static_cast<double>(blocks * reps);
-  out.bits = blocks * bits_per_block;
-  return out;
+
+  [[nodiscard]] LinkKernelRun finish(std::size_t blocks,
+                                     std::size_t bits_per_block) {
+    const std::size_t reps = ns_per_rep_.size();
+    std::sort(ns_per_rep_.begin(), ns_per_rep_.end());
+    const double median_ns =
+        reps % 2 == 1
+            ? ns_per_rep_[reps / 2]
+            : 0.5 * (ns_per_rep_[reps / 2 - 1] + ns_per_rep_[reps / 2]);
+    LinkKernelRun out;
+    out.ns_per_block = median_ns / static_cast<double>(blocks);
+    out.allocs_per_block = static_cast<double>(allocs_) /
+                           static_cast<double>(blocks * reps);
+    out.bit_errors = bit_errors_;
+    out.bits = blocks * bits_per_block;
+    return out;
+  }
+
+ private:
+  std::vector<double> ns_per_rep_;
+  std::uint64_t allocs_ = 0;
+  std::size_t bit_errors_ = 0;
+};
+
+/// Runs `reps` timed passes of one path.
+template <typename PassFn>
+LinkKernelRun fold_reps(std::size_t reps, std::size_t blocks,
+                        std::size_t bits_per_block, PassFn&& pass) {
+  RepFold fold;
+  for (std::size_t rep = 0; rep < reps; ++rep) fold.time(pass);
+  return fold.finish(blocks, bits_per_block);
 }
 
-/// Measures `blocks` post-warmup blocks of either scalar path over
-/// `reps` repetitions.  Per-block RNG streams are Rng(seed, block
-/// index) for every path, so the bit-error totals must agree exactly.
-/// Warmup blocks [0, warmup) run once, outside the timed window.
-template <typename BlockFn>
-LinkKernelRun measure_blocks(std::size_t reps, std::size_t warmup,
-                             std::size_t blocks, std::size_t bits_per_block,
-                             std::uint64_t seed, BlockFn&& block) {
-  for (std::size_t blk = 0; blk < warmup; ++blk) {
-    Rng rng(seed, blk);
-    (void)block(rng);
-  }
-  return fold_reps(reps, blocks, bits_per_block, [&] {
-    std::size_t errors = 0;
-    for (std::size_t blk = warmup; blk < warmup + blocks; ++blk) {
-      Rng rng(seed, blk);
-      errors += block(rng);
+/// Runs `reps` timed passes of two paths that a speedup compares, their
+/// reps interleaved and the order flipped every rep (a b, b a, a b, …),
+/// so a slow stretch of the host lands on both sides instead of on one
+/// path's block of reps.
+template <typename PassA, typename PassB>
+std::pair<LinkKernelRun, LinkKernelRun> fold_reps_paired(
+    std::size_t reps, std::size_t blocks, std::size_t bits_per_block,
+    PassA&& pass_a, PassB&& pass_b) {
+  RepFold fold_a;
+  RepFold fold_b;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    if (rep % 2 == 0) {
+      fold_a.time(pass_a);
+      fold_b.time(pass_b);
+    } else {
+      fold_b.time(pass_b);
+      fold_a.time(pass_a);
     }
-    return errors;
-  });
+  }
+  return {fold_a.finish(blocks, bits_per_block),
+          fold_b.finish(blocks, bits_per_block)};
+}
+
+/// Runs blocks [first, first + count) of a per-block path, block blk on
+/// Rng(seed, blk), and returns their bit errors.  Every path consumes
+/// these streams, so the bit-error totals of all paths must agree.
+template <typename BlockFn>
+std::size_t run_blocks(std::uint64_t seed, std::size_t first,
+                       std::size_t count, BlockFn&& block) {
+  std::size_t errors = 0;
+  for (std::size_t blk = first; blk < first + count; ++blk) {
+    Rng rng(seed, blk);
+    errors += block(rng);
+  }
+  return errors;
 }
 
 /// Batched counterpart: blocks are grouped `width` at a time (tail
-/// groups shrink) over the same Rng(seed, block index) streams, so the
-/// totals remain comparable with the scalar paths bit-for-bit.  The
+/// groups shrink) over the same Rng(seed, block index) streams.  The
 /// lane RNGs live in stack storage via placement new — Rng has no
 /// default constructor and a heap-backed vector would break the
 /// zero-allocation claim inside the timed window.
 template <typename BatchFn>
-LinkKernelRun measure_blocks_batched(std::size_t reps, std::size_t warmup,
-                                     std::size_t blocks,
-                                     std::size_t bits_per_block,
-                                     std::uint64_t seed, std::size_t width,
-                                     BatchFn&& batch) {
+std::size_t run_blocks_batched(std::uint64_t seed, std::size_t width,
+                               std::size_t first, std::size_t count,
+                               BatchFn&& batch) {
   static_assert(std::is_trivially_destructible_v<Rng>,
                 "stack lane RNGs skip destructor calls");
   constexpr std::size_t kMaxLanes = 8;
@@ -225,21 +256,15 @@ LinkKernelRun measure_blocks_batched(std::size_t reps, std::size_t warmup,
                "batch width out of range for the stack lane RNGs");
   alignas(Rng) std::byte lane_storage[kMaxLanes * sizeof(Rng)];
   Rng* const lanes = reinterpret_cast<Rng*>(lane_storage);
-  const auto run_span = [&](std::size_t first, std::size_t count_blocks) {
-    std::size_t errors = 0;
-    for (std::size_t blk = first; blk < first + count_blocks; blk += width) {
-      const std::size_t count =
-          std::min(width, first + count_blocks - blk);
-      for (std::size_t i = 0; i < count; ++i) {
-        ::new (static_cast<void*>(lanes + i)) Rng(seed, blk + i);
-      }
-      errors += batch(lanes, count);
+  std::size_t errors = 0;
+  for (std::size_t blk = first; blk < first + count; blk += width) {
+    const std::size_t lanes_used = std::min(width, first + count - blk);
+    for (std::size_t i = 0; i < lanes_used; ++i) {
+      ::new (static_cast<void*>(lanes + i)) Rng(seed, blk + i);
     }
-    return errors;
-  };
-  (void)run_span(0, warmup);
-  return fold_reps(reps, blocks, bits_per_block,
-                   [&] { return run_span(warmup, blocks); });
+    errors += batch(lanes, lanes_used);
+  }
+  return errors;
 }
 
 Json link_params(const char* path, int b, unsigned mt, unsigned mr,
@@ -301,38 +326,46 @@ void run_link_kernel_bench(const BenchCli& cli) {
     const double sym_scale = std::sqrt(static_cast<double>(shape.b) *
                                        gamma_b / code.symbol_weight());
 
-    const LinkKernelRun alloc_run = measure_blocks(
-        reps, warmup, blocks, bits_per_block, seed, [&](Rng& rng) {
-          return allocating_block(*modem, code, decoder, shape.mt, shape.mr,
-                                  sym_scale, bits_per_block, rng);
-        });
+    const auto alloc_block = [&](Rng& rng) {
+      return allocating_block(*modem, code, decoder, shape.mt, shape.mr,
+                              sym_scale, bits_per_block, rng);
+    };
+    (void)run_blocks(seed, 0, warmup, alloc_block);
+    const LinkKernelRun alloc_run =
+        fold_reps(reps, blocks, bits_per_block,
+                  [&] { return run_blocks(seed, warmup, blocks, alloc_block); });
 
     // The scalar reference: the batch kernel one block at a time on a
     // workspace prepared at width 1, which runs its body on the scalar
-    // table.
+    // table.  The SoA batch path runs over the pinned dispatch tier on
+    // the same streams; at width 1 (scalar pin or no vector unit) it is
+    // the workspace path, so the record stays meaningful anywhere.  The
+    // two are timed rep for rep, since speedup_vs_scalar compares them.
     const WaveformBerKernel kernel(shape.b, shape.mt, shape.mr, gamma_b);
     HopBatchWorkspace ws;
     kernel.prepare_batch(ws, 1);
-    const LinkKernelRun ws_run = measure_blocks(
-        reps, warmup, blocks, bits_per_block, seed,
-        [&](Rng& rng) { return kernel.run_block_batch(ws, &rng, 1); });
+    const auto ws_block = [&](Rng& rng) {
+      return kernel.run_block_batch(ws, &rng, 1);
+    };
+    const std::size_t width = simd::batch_width();
+    HopBatchWorkspace bws;
+    kernel.prepare_batch(bws, width);
+    const auto batch_block = [&](Rng* rngs, std::size_t count) {
+      return kernel.run_block_batch(bws, rngs, count);
+    };
+    (void)run_blocks(seed, 0, warmup, ws_block);
+    (void)run_blocks_batched(seed, width, 0, warmup, batch_block);
+    const auto [ws_run, batch_run] = fold_reps_paired(
+        reps, blocks, bits_per_block,
+        [&] { return run_blocks(seed, warmup, blocks, ws_block); },
+        [&] {
+          return run_blocks_batched(seed, width, warmup, blocks, batch_block);
+        });
 
     // The workspace path must be bit-identical to the allocating one;
     // anything else means the refactor broke the kernel.
     COMIMO_CHECK(ws_run.bit_errors == alloc_run.bit_errors,
                  "workspace path diverged from the allocating path");
-
-    // The SoA batch path over the pinned dispatch tier, same streams.
-    // At width 1 (scalar pin or no vector unit) this is the workspace
-    // path, so the record stays meaningful anywhere.
-    const std::size_t width = simd::batch_width();
-    HopBatchWorkspace bws;
-    kernel.prepare_batch(bws, width);
-    const LinkKernelRun batch_run = measure_blocks_batched(
-        reps, warmup, blocks, bits_per_block, seed, width,
-        [&](Rng* rngs, std::size_t count) {
-          return kernel.run_block_batch(bws, rngs, count);
-        });
     COMIMO_CHECK(batch_run.bit_errors == ws_run.bit_errors,
                  "simd batch path diverged from the scalar workspace path");
 
@@ -442,15 +475,11 @@ void run_link_kernel_bench(const BenchCli& cli) {
       };
 
       (void)run_span(0, hop_warmup, /*batched=*/false);
-      const LinkKernelRun serial_run =
-          fold_reps(reps, hop_blocks, bpb, [&] {
-            return run_span(hop_warmup, hop_blocks, /*batched=*/false);
-          });
       (void)run_span(0, hop_warmup, /*batched=*/true);
-      const LinkKernelRun batch_run =
-          fold_reps(reps, hop_blocks, bpb, [&] {
-            return run_span(hop_warmup, hop_blocks, /*batched=*/true);
-          });
+      const auto [serial_run, batch_run] = fold_reps_paired(
+          reps, hop_blocks, bpb,
+          [&] { return run_span(hop_warmup, hop_blocks, /*batched=*/false); },
+          [&] { return run_span(hop_warmup, hop_blocks, /*batched=*/true); });
       COMIMO_CHECK(batch_run.bit_errors == serial_run.bit_errors,
                    "hop batch path diverged from the width-1 path");
 

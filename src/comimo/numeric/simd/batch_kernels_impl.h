@@ -246,6 +246,77 @@ void gram_rhs_batch(const double* f, const double* y, std::size_t rows,
   }
 }
 
+// CMatrix::solve_into on real systems, op for op: partial pivoting with
+// a strict-> first-maximum search, row swaps, `f == 0` rows skipped,
+// back substitution.  On real input the complex path's imaginary parts
+// stay ±0, so |z| is |re| and every quotient is the correctly rounded
+// real one; only the sign of an exact zero can differ, and no zero is
+// ever a divisor here.  Entries below the diagonal are dead once their
+// column is eliminated, so they are neither swapped nor zeroed.
+template <class V>
+bool solve_normal_batch(double* a, double* x, std::size_t n) {
+  constexpr std::size_t W = V::kWidth;
+  const V zero = V::zero();
+  alignas(64) double lane_best[W];
+  alignas(64) double lane_mag[W];
+  for (std::size_t col = 0; col < n; ++col) {
+    // Row indices ride as doubles so they share the magnitude's mask.
+    V best = V::broadcast(static_cast<double>(col));
+    V best_mag = V::abs(V::load(a + (col * n + col) * W));
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const V mag = V::abs(V::load(a + (r * n + col) * W));
+      best = V::select_lt(best_mag, mag, V::broadcast(static_cast<double>(r)),
+                          best);
+      best_mag = V::select_lt(best_mag, mag, mag, best_mag);
+    }
+    best.store(lane_best);
+    best_mag.store(lane_mag);
+    bool any_swap = false;
+    for (std::size_t w = 0; w < W; ++w) {
+      if (lane_mag[w] == 0.0) return false;
+      any_swap = any_swap || lane_best[w] != static_cast<double>(col);
+    }
+    if (any_swap) {
+      // Each lane exchanges row col with its own pivot row; lanes whose
+      // pivot is already on the diagonal keep both rows.
+      for (std::size_t r = col + 1; r < n; ++r) {
+        const V rv = V::broadcast(static_cast<double>(r));
+        for (std::size_t c = col; c < n; ++c) {
+          const V top = V::load(a + (col * n + c) * W);
+          const V low = V::load(a + (r * n + c) * W);
+          V::select_eq(best, rv, low, top).store(a + (col * n + c) * W);
+          V::select_eq(best, rv, top, low).store(a + (r * n + c) * W);
+        }
+        const V top = V::load(x + col * W);
+        const V low = V::load(x + r * W);
+        V::select_eq(best, rv, low, top).store(x + col * W);
+        V::select_eq(best, rv, top, low).store(x + r * W);
+      }
+    }
+    const V pivot = V::load(a + (col * n + col) * W);
+    const V x_col = V::load(x + col * W);
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const V f = V::load(a + (r * n + col) * W) / pivot;
+      // Lanes with f == 0 keep the row as it was: the scalar `continue`.
+      for (std::size_t c = col + 1; c < n; ++c) {
+        const V old = V::load(a + (r * n + c) * W);
+        V::select_eq(f, zero, old, old - f * V::load(a + (col * n + c) * W))
+            .store(a + (r * n + c) * W);
+      }
+      const V old = V::load(x + r * W);
+      V::select_eq(f, zero, old, old - f * x_col).store(x + r * W);
+    }
+  }
+  for (std::size_t ri = n; ri-- > 0;) {
+    V sum = V::load(x + ri * W);
+    for (std::size_t c = ri + 1; c < n; ++c) {
+      sum = sum - V::load(a + (ri * n + c) * W) * V::load(x + c * W);
+    }
+    (sum / V::load(a + (ri * n + ri) * W)).store(x + ri * W);
+  }
+  return true;
+}
+
 template <class V>
 void qam_nearest_batch(const double* sym_re, const double* sym_im,
                        std::size_t elems, const cplx* points,
@@ -293,6 +364,7 @@ template <class V, class G>
   k.stbc_encode_multi = &stbc_encode_multi_batch<V>;
   k.stbc_build_fy = &stbc_build_fy_batch<V>;
   k.gram_rhs = &gram_rhs_batch<V>;
+  k.solve_normal = &solve_normal_batch<V>;
   k.qam_nearest = &qam_nearest_batch<V>;
   k.gf256_mul_add_row = &G::mul_add_row;
   k.gf256_mul_region = &G::mul_region;

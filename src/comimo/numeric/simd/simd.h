@@ -61,9 +61,12 @@ enum class Tier : int {
 /// The per-tier kernel table.  Every plane argument uses the SoA layout
 /// [element][lane] with this table's `width` lanes per element and
 /// 64-byte base alignment; `elems` counts elements, not doubles.
-/// Outputs never alias inputs.  All kernels are bit-identical per lane
-/// to the scalar reference loops in numeric/cmatrix.cpp, phy/stbc.cpp,
-/// and phy/modulation.cpp.
+/// Outputs never alias inputs, except in solve_normal, which works in
+/// place.  Every vector tier is bit-identical per lane to the scalar
+/// table, whose kernels reproduce the scalar code of numeric/cmatrix.cpp,
+/// phy/stbc.cpp and phy/modulation.cpp bit for bit — except that
+/// solve_normal's exact zeros may differ in sign from
+/// CMatrix::solve_into's.
 struct BatchKernels {
   Tier tier = Tier::kScalar;
   std::size_t width = 1;  ///< W, lanes per element group
@@ -119,10 +122,22 @@ struct BatchKernels {
 
   /// Batched normal equations: gram[(c1·cols + c2)·W + w] = (FᵀF)(c1,c2)
   /// (both triangles written) and rhs[c1·W + w] = (Fᵀy)(c1), dot
-  /// products accumulated over ascending rows exactly like the scalar
-  /// decoder.
+  /// products accumulated over ascending rows.  StbcDecoder::decode_into
+  /// runs the scalar table's entry, so the decoder and every lane share
+  /// this one accumulation order.
   void (*gram_rhs)(const double* f, const double* y, std::size_t rows,
                    std::size_t cols, double* gram, double* rhs);
+
+  /// Batched CMatrix::solve_into on the real n × n systems gram_rhs
+  /// fills, in place: on return rhs[c·W + w] holds lane w's solution and
+  /// the gram plane's upper triangle its eliminated rows (the strict
+  /// lower triangle is left unspecified).  Same partial-pivot order, row
+  /// swaps and `f == 0` row skips per lane, in real arithmetic, so every
+  /// solution value equals the complex solve's real part (an exact zero
+  /// may differ in sign).  Returns false, leaving the planes partly
+  /// eliminated, when any lane's pivot column is all zero — the scalar
+  /// solve's "singular matrix" case.
+  bool (*solve_normal)(double* gram, double* rhs, std::size_t n);
 
   /// Batched QamModulator::nearest_point: for every element, the index
   /// of the constellation point minimizing |r − p_i|², strict-< with

@@ -2,14 +2,17 @@
 //
 // Each struct wraps one native vector register of W doubles behind the
 // minimal op set the generic kernels in batch_kernels_impl.h need:
-// aligned load/store, broadcast, +, −, ×, ÷, and a strict-< lanewise
-// select.  Only explicit single-op intrinsics are used — never an FMA —
+// aligned load/store, broadcast, +, −, ×, ÷, |·| (sign bit cleared),
+// and strict-< and == lanewise selects.  Compares have the scalar
+// operator's truth table, NaN included (false whenever an operand is
+// NaN).  Only explicit single-op intrinsics are used — never an FMA —
 // because the bit-identity contract (see simd.h) requires every lane to
 // round exactly like the scalar code, one operation at a time.  The
 // ISA-specific structs are only defined when the TU is compiled with
 // the matching -m flag, so each backend TU sees exactly one of them.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 #if defined(__SSE2__) || defined(__AVX2__) || defined(__AVX512F__)
@@ -45,11 +48,18 @@ struct VecScalar {
   friend VecScalar operator/(VecScalar a, VecScalar b) noexcept {
     return {a.v / b.v};
   }
+  /// |a| with the sign bit cleared — exact, NaN stays NaN.
+  static VecScalar abs(VecScalar a) noexcept { return {std::fabs(a.v)}; }
   /// Lanewise (a < b) ? x : y — the strict-< first-minimum select the
-  /// QAM argmin relies on.
+  /// QAM argmin and the pivot search rely on.
   static VecScalar select_lt(VecScalar a, VecScalar b, VecScalar x,
                              VecScalar y) noexcept {
     return {a.v < b.v ? x.v : y.v};
+  }
+  /// Lanewise (a == b) ? x : y — ±0 compare equal, NaN equals nothing.
+  static VecScalar select_eq(VecScalar a, VecScalar b, VecScalar x,
+                             VecScalar y) noexcept {
+    return {a.v == b.v ? x.v : y.v};
   }
 };
 
@@ -77,19 +87,27 @@ struct VecSse2 {
   friend VecSse2 operator/(VecSse2 a, VecSse2 b) noexcept {
     return {_mm_div_pd(a.v, b.v)};
   }
+  static VecSse2 abs(VecSse2 a) noexcept {
+    return {_mm_andnot_pd(_mm_set1_pd(-0.0), a.v)};
+  }
   static VecSse2 select_lt(VecSse2 a, VecSse2 b, VecSse2 x,
                            VecSse2 y) noexcept {
     const __m128d mask = _mm_cmplt_pd(a.v, b.v);
+    return {_mm_or_pd(_mm_and_pd(mask, x.v), _mm_andnot_pd(mask, y.v))};
+  }
+  static VecSse2 select_eq(VecSse2 a, VecSse2 b, VecSse2 x,
+                           VecSse2 y) noexcept {
+    const __m128d mask = _mm_cmpeq_pd(a.v, b.v);
     return {_mm_or_pd(_mm_and_pd(mask, x.v), _mm_andnot_pd(mask, y.v))};
   }
 };
 #endif  // __SSE2__
 
 #if defined(__AVX2__)
-/// W = 4.  _CMP_LT_OQ is the ordered, non-signalling strict less-than —
-/// identical truth table to the scalar `<` on the finite data the
-/// kernels see.  No FMA intrinsics appear anywhere (AVX2 does not imply
-/// FMA, and contraction is off in this TU).
+/// W = 4.  _CMP_LT_OQ / _CMP_EQ_OQ are the ordered, non-signalling
+/// compares — the scalar `<` / `==` truth tables, NaN included.  No FMA
+/// intrinsics appear anywhere (AVX2 does not imply FMA, and contraction
+/// is off in this TU).
 struct VecAvx2 {
   static constexpr std::size_t kWidth = 4;
   __m256d v;
@@ -113,9 +131,17 @@ struct VecAvx2 {
   friend VecAvx2 operator/(VecAvx2 a, VecAvx2 b) noexcept {
     return {_mm256_div_pd(a.v, b.v)};
   }
+  static VecAvx2 abs(VecAvx2 a) noexcept {
+    return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v)};
+  }
   static VecAvx2 select_lt(VecAvx2 a, VecAvx2 b, VecAvx2 x,
                            VecAvx2 y) noexcept {
     const __m256d mask = _mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ);
+    return {_mm256_blendv_pd(y.v, x.v, mask)};
+  }
+  static VecAvx2 select_eq(VecAvx2 a, VecAvx2 b, VecAvx2 x,
+                           VecAvx2 y) noexcept {
+    const __m256d mask = _mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ);
     return {_mm256_blendv_pd(y.v, x.v, mask)};
   }
 };
@@ -123,8 +149,8 @@ struct VecAvx2 {
 
 #if defined(__AVX512F__)
 /// W = 8.  The AVX-512 compare writes a mask register, so select is the
-/// mask-blend form; truth table identical to the scalar strict `<` on
-/// the finite data the kernels see.  As with AVX2, only explicit
+/// mask-blend form; the ordered compares keep the scalar `<` / `==`
+/// truth tables, NaN included.  As with AVX2, only explicit
 /// mul/add/sub/div intrinsics appear — never an FMA.
 struct VecAvx512 {
   static constexpr std::size_t kWidth = 8;
@@ -151,9 +177,15 @@ struct VecAvx512 {
   friend VecAvx512 operator/(VecAvx512 a, VecAvx512 b) noexcept {
     return {_mm512_div_pd(a.v, b.v)};
   }
+  static VecAvx512 abs(VecAvx512 a) noexcept { return {_mm512_abs_pd(a.v)}; }
   static VecAvx512 select_lt(VecAvx512 a, VecAvx512 b, VecAvx512 x,
                              VecAvx512 y) noexcept {
     const __mmask8 mask = _mm512_cmp_pd_mask(a.v, b.v, _CMP_LT_OQ);
+    return {_mm512_mask_blend_pd(mask, y.v, x.v)};
+  }
+  static VecAvx512 select_eq(VecAvx512 a, VecAvx512 b, VecAvx512 x,
+                             VecAvx512 y) noexcept {
+    const __mmask8 mask = _mm512_cmp_pd_mask(a.v, b.v, _CMP_EQ_OQ);
     return {_mm512_mask_blend_pd(mask, y.v, x.v)};
   }
 };
@@ -182,9 +214,14 @@ struct VecNeon {
   friend VecNeon operator/(VecNeon a, VecNeon b) noexcept {
     return {vdivq_f64(a.v, b.v)};
   }
+  static VecNeon abs(VecNeon a) noexcept { return {vabsq_f64(a.v)}; }
   static VecNeon select_lt(VecNeon a, VecNeon b, VecNeon x,
                            VecNeon y) noexcept {
     return {vbslq_f64(vcltq_f64(a.v, b.v), x.v, y.v)};
+  }
+  static VecNeon select_eq(VecNeon a, VecNeon b, VecNeon x,
+                           VecNeon y) noexcept {
+    return {vbslq_f64(vceqq_f64(a.v, b.v), x.v, y.v)};
   }
 };
 #endif  // __ARM_NEON && __aarch64__

@@ -1,5 +1,7 @@
 #include "comimo/phy/link_batch.h"
 
+#include <algorithm>
+
 #include "comimo/common/error.h"
 #include "comimo/numeric/simd/simd.h"
 
@@ -46,30 +48,21 @@ void decode_demap_batch(const simd::BatchKernels& k, const StbcCode& code,
   COMIMO_DCHECK(w_count <= ws.width && ws.f.size() >= rows * cols * w_count,
                 "pass wider than the configured planes");
 
-  // The F/y build and the normal-equation dot products are vectorized;
-  // the pivoted solve is data-dependent per lane, so each lane's
-  // gram/rhs is extracted and solved with the scalar eliminator.
   k.stbc_build_fy(code.coeff_a_flat().data(), code.coeff_b_flat().data(),
                   code.block_length(), code.num_tx(), kk, mr,
                   code.power_scale(), ws.h_re.data(), ws.h_im.data(),
                   ws.rx_re.data(), ws.rx_im.data(), ws.f.data(), ws.y.data());
   k.gram_rhs(ws.f.data(), ws.y.data(), rows, cols, ws.gram.data(),
              ws.rhs.data());
-  StbcDecodeScratch& sc = ws.solve_scratch;
-  for (std::size_t w = 0; w < w_count; ++w) {
-    sc.gram.resize(cols, cols);
-    sc.rhs.assign(cols, cplx{0.0, 0.0});
-    for (std::size_t c1 = 0; c1 < cols; ++c1) {
-      for (std::size_t c2 = 0; c2 < cols; ++c2) {
-        sc.gram(c1, c2) = cplx{ws.gram[(c1 * cols + c2) * w_count + w], 0.0};
-      }
-      sc.rhs[c1] = cplx{ws.rhs[c1 * w_count + w], 0.0};
-    }
-    sc.gram.solve_into(sc.rhs, sc.x, sc.solve_work);
-    for (std::size_t s = 0; s < kk; ++s) {
-      ws.est_re[s * w_count + w] = sc.x[2 * s].real();
-      ws.est_im[s * w_count + w] = sc.x[2 * s + 1].real();
-    }
+  if (!k.solve_normal(ws.gram.data(), ws.rhs.data(), cols)) {
+    throw NumericError("singular matrix in solve");
+  }
+  // x = [Re s_0, Im s_0, …]: even elements are the real planes.
+  for (std::size_t s = 0; s < kk; ++s) {
+    std::copy_n(ws.rhs.data() + 2 * s * w_count, w_count,
+                ws.est_re.data() + s * w_count);
+    std::copy_n(ws.rhs.data() + (2 * s + 1) * w_count, w_count,
+                ws.est_im.data() + s * w_count);
   }
   k.divide(ws.est_re.data(), ws.est_im.data(), kk, sym_scale);
 

@@ -16,11 +16,14 @@
 // each plane element before it reads it, so planes carry no state
 // between passes of any width or shape.
 //
+// The pivoted solve of the normal equations is vectorized too: each
+// lane picks its own pivot rows, and row swaps and skipped rows are
+// lanewise selects (BatchKernels::solve_normal).
+//
 // The per-lane pieces that stay scalar on purpose:
 //   * RNG draws (bits, channel, noise) — one generator per lane, scalar
 //     Box–Muller, so the (seed, trial) stream contract is untouched;
-//   * modulation table lookups — exact copies, no arithmetic;
-//   * the pivoted gram solve — pivoting is data-dependent per lane.
+//   * modulation table lookups — exact copies, no arithmetic.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +62,6 @@ struct LinkBatchWorkspace {
   BitVec bits;
   BitVec decoded;
   std::vector<cplx> symbols;  ///< one lane's modulator output, staged
-  StbcDecodeScratch solve_scratch;  ///< per-lane gram solve
   std::size_t width = 0;  ///< lanes currently configured
 
   /// Shapes every plane for `code` over an mr-antenna receiver, `width`
@@ -70,9 +72,10 @@ struct LinkBatchWorkspace {
 
 /// The ML decode and hard demap of one pass, k.width lanes wide
 /// (k.width ≤ ws.width): builds the real-expansion F/y planes from
-/// ws.h_* and ws.rx_*, forms the normal equations, solves each lane's
-/// system with the scalar pivoted eliminator — StbcDecoder::decode_into's
-/// exact path — divides the estimates by sym_scale and hard-demaps them.
+/// ws.h_* and ws.rx_*, forms the normal equations, solves all lanes'
+/// systems in one k.solve_normal call — the solve StbcDecoder::decode_into
+/// runs at width 1 — divides the estimates by sym_scale and hard-demaps
+/// them.  Throws NumericError when any lane's system is singular.
 /// BPSK keeps its sign rule (distance ties at ±0 would flip the bit the
 /// sign rule picks); QAM runs the vector distance argmin and unpacks
 /// labels MSB-first like Modulator::demodulate_into.  Lane w's

@@ -4,6 +4,7 @@
 
 #include "comimo/common/error.h"
 #include "comimo/numeric/rng.h"
+#include "comimo/numeric/simd/simd.h"
 
 namespace comimo {
 
@@ -200,8 +201,8 @@ void StbcDecoder::decode_into(ConstCMatrixView h, ConstCMatrixView received,
   const std::size_t cols = 2 * kk;
   std::vector<double>& f = scratch.f;
   std::vector<double>& y = scratch.y;
-  f.assign(rows * cols, 0.0);
-  y.assign(rows, 0.0);
+  f.resize(rows * cols);
+  y.resize(rows);
   for (std::size_t t = 0; t < tt; ++t) {
     for (std::size_t j = 0; j < mr; ++j) {
       const std::size_t row_re = 2 * (t * mr + j);
@@ -227,31 +228,22 @@ void StbcDecoder::decode_into(ConstCMatrixView h, ConstCMatrixView received,
   }
 
   // Normal equations (F^T F) x = F^T y; for orthogonal designs F^T F is
-  // ps²‖H‖²_F·I but we solve generally for robustness.
-  CMatrix& gram = scratch.gram;
-  gram.resize(cols, cols);
-  std::vector<cplx>& rhs = scratch.rhs;
-  rhs.assign(cols, cplx{0.0, 0.0});
-  for (std::size_t c1 = 0; c1 < cols; ++c1) {
-    for (std::size_t c2 = c1; c2 < cols; ++c2) {
-      double dot = 0.0;
-      for (std::size_t r = 0; r < rows; ++r) {
-        dot += f[r * cols + c1] * f[r * cols + c2];
-      }
-      gram(c1, c2) = dot;
-      gram(c2, c1) = dot;
-    }
-    double dot_y = 0.0;
-    for (std::size_t r = 0; r < rows; ++r) {
-      dot_y += f[r * cols + c1] * y[r];
-    }
-    rhs[c1] = dot_y;
+  // ps²‖H‖²_F·I but we solve generally for robustness.  The width-1
+  // scalar kernels are the batch link's own bodies, so this decode and
+  // every batch lane share one dot-product order and one solve.
+  const simd::BatchKernels& scalar =
+      *simd::kernels_for_tier(simd::Tier::kScalar);
+  scratch.gram.resize(cols * cols);
+  scratch.rhs.resize(cols);
+  scalar.gram_rhs(f.data(), y.data(), rows, cols, scratch.gram.data(),
+                  scratch.rhs.data());
+  if (!scalar.solve_normal(scratch.gram.data(), scratch.rhs.data(), cols)) {
+    throw NumericError("singular matrix in solve");
   }
-  gram.solve_into(rhs, scratch.x, scratch.solve_work);
-  const std::vector<cplx>& x = scratch.x;
+  const std::vector<double>& x = scratch.rhs;
 
   for (std::size_t k = 0; k < kk; ++k) {
-    out_symbols[k] = cplx{x[2 * k].real(), x[2 * k + 1].real()};
+    out_symbols[k] = cplx{x[2 * k], x[2 * k + 1]};
   }
 }
 

@@ -120,17 +120,15 @@ inline constexpr std::size_t kMaxStbcTx = 4;
 }
 
 /// Reusable scratch for StbcDecoder::decode_into: the real-expansion
-/// design matrix, the normal equations, and the elimination workspace.
-/// All buffers are assign()-ed per decode, so one scratch serves blocks
-/// of any (and varying) antenna configuration, allocation-free once it
-/// has seen the largest shape.
+/// design matrix and the normal equations, which are solved in place.
+/// Every buffer is resize()-d per decode and fully written before it is
+/// read, so one scratch serves blocks of any (and varying) antenna
+/// configuration, allocation-free once it has seen the largest shape.
 struct StbcDecodeScratch {
-  std::vector<double> f;  ///< 2TMr × 2K real design matrix
-  std::vector<double> y;  ///< 2TMr real received vector
-  CMatrix gram;           ///< F^T F (2K × 2K)
-  std::vector<cplx> rhs;  ///< F^T y
-  std::vector<cplx> x;    ///< solution of the normal equations
-  std::vector<cplx> solve_work;  ///< elimination copy inside solve_into
+  std::vector<double> f;     ///< 2TMr × 2K real design matrix
+  std::vector<double> y;     ///< 2TMr real received vector
+  std::vector<double> gram;  ///< F^T F (2K × 2K), eliminated in place
+  std::vector<double> rhs;   ///< F^T y, then the solution x
 };
 
 /// ML decoder for an orthogonal design over an mr-antenna receiver.

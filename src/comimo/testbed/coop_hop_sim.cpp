@@ -265,11 +265,11 @@ namespace {
 ///
 /// Blocks run in groups of the pinned SIMD lane width, groups in
 /// parallel across `pool`: every block derives all of its randomness
-/// from counter-based streams keyed by (seed, block index), and
-/// per-block outputs merge in block order, so the hop result is
-/// bit-identical on 1 or N workers — and, because each batch lane
-/// reproduces the scalar block's bits exactly, identical at every SIMD
-/// tier and pass width too.
+/// from counter-based streams keyed by (seed, block index), writes its
+/// decoded bits into its own slice of the output, and its statistics
+/// merge in block order, so the hop result is bit-identical on 1 or N
+/// workers — and, because each batch lane reproduces the scalar block's
+/// bits exactly, identical at every SIMD tier and pass width too.
 BitVec run_hop(const UnderlayHopPlan& plan, const BitVec& payload,
                double local_snr_db, std::uint64_t seed,
                const HopFaultConfig& faults, CoopHopSimResult& result,
@@ -300,9 +300,11 @@ BitVec run_hop(const UnderlayHopPlan& plan, const BitVec& payload,
   const BitVec padded = pad_to_multiple(payload, bits_per_block);
   const std::size_t num_blocks = padded.size() / bits_per_block;
 
-  // Per-block output slots, merged in block order after the fan-out.
+  // Block blk's decoded bits land in out[blk·bits_per_block, …): groups
+  // write disjoint slices, and blocks that never arrive keep zeros.
+  // Per-block statistics merge in block order after the fan-out.
+  BitVec out(padded.size(), 0);
   struct BlockOut {
-    BitVec decoded;
     std::size_t intra_errors = 0;
     std::size_t intra_bits = 0;
     bool erased = false;  ///< RLNC mode: this block's one send was lost
@@ -385,10 +387,8 @@ BitVec run_hop(const UnderlayHopPlan& plan, const BitVec& payload,
         }
       }
       if (arrived) {
-        const std::uint8_t* dec = ws.decoded_lane(w);
-        slot.decoded.assign(dec, dec + bits_per_block);
-      } else {
-        slot.decoded.assign(bits_per_block, 0);  // never arrived
+        std::copy_n(ws.decoded_lane(w), bits_per_block,
+                    out.data() + blk * bits_per_block);
       }
     }
   };
@@ -449,19 +449,17 @@ BitVec run_hop(const UnderlayHopPlan& plan, const BitVec& payload,
           // Recovered: the block's decoded waveform bits stand.
           ++result.resilience.recovered_blocks;
         } else {
-          slot.decoded.assign(bits_per_block, 0);
+          std::fill_n(out.data() + (g0 + i) * bits_per_block, bits_per_block,
+                      std::uint8_t{0});
           ++slot.res.lost_blocks;
         }
       }
     }
   }
 
-  BitVec out;
-  out.reserve(padded.size());
   std::size_t intra_errors = 0;
   std::size_t intra_bits = 0;
-  for (BlockOut& slot : outs) {
-    out.insert(out.end(), slot.decoded.begin(), slot.decoded.end());
+  for (const BlockOut& slot : outs) {
     intra_errors += slot.intra_errors;
     intra_bits += slot.intra_bits;
     result.resilience.blocks += slot.res.blocks;
