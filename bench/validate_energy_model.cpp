@@ -8,7 +8,10 @@
 // end-to-end BER with the plan's target.
 //
 // The 9 grid cells shard across the mc/ sweep engine (each cell is a
-// pure function of its (mt, mr) index); `--json` emits comimo-bench-v1.
+// pure function of its (mt, mr) index), and each cell's hop blocks fan
+// out on the same pool, where a cell's nested fan-out runs inline: the
+// grid uses the `--threads` pool and nothing else.  `--json` emits
+// comimo-bench-v1.
 #include <iostream>
 
 #include "comimo/common/bench_json.h"
@@ -47,6 +50,7 @@ int main(int argc, char** argv) {
         sim.plan = planner.plan(cfg, BSelectionRule::kMinTotalPa);
         sim.bits = 200000;
         sim.seed = 11;
+        sim.pool = cli.pool();
         cell.plan = sim.plan;
         cell.r = simulate_cooperative_hop(sim);
       });

@@ -58,8 +58,11 @@ cmake --build "$NOSIMD_DIR" -j "$(nproc)"
 # receiver and its noise bounds draw through the same Box-Muller as the
 # batch kernels.  At W = 1 every hop block takes the one-pass branch of
 # the long haul, which CoopHopSim and RouteSim drive end to end.
+# NoiseApprox and NoiseCert hold the libm-free noise and its certificate
+# to the exact chain at width 1, and DecodedDigest pins every decoded bit
+# of the link and the hop to the same values as the SIMD build.
 ctest --test-dir "$NOSIMD_DIR" --output-on-failure \
-  -R 'Golden|Simd|AlignedAlloc|LinkWorkspace|HopBatch|Waveform|Galois|Rlnc|SpatialIndex|SpatialGrid|NetworkFuzz|AdaptiveMc|ImportanceSampling|McEngine|UnderlayReceive|GmskPatternMargins|NoiseBounds|CoopHopSim|RouteSim' \
+  -R 'Golden|Simd|AlignedAlloc|LinkWorkspace|HopBatch|Waveform|Galois|Rlnc|SpatialIndex|SpatialGrid|NetworkFuzz|AdaptiveMc|ImportanceSampling|McEngine|UnderlayReceive|GmskPatternMargins|NoiseBounds|CoopHopSim|RouteSim|NoiseApprox|NoiseCert|DecodedDigest' \
   -j "$(nproc)"
 
 echo "== workspace, simd batch + coding kernels under ASan + UBSan =="
@@ -93,8 +96,11 @@ cmake --build "$ASAN_DIR" -j "$(nproc)"
 # width-1 long-haul passes read planes shaped for the pinned width.
 # SimdSolveNormal drives the batched normal-equation solve's pivot rows,
 # swaps and early singular exit at every tier and lane count.
+# NoiseApprox, NoiseCert and DecodedDigest drive the certified noise
+# passes: word planes, the stack copies of each lane's streams, and
+# the exact reruns of refused lanes on planes shaped for the full width.
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'LinkWorkspace|SimdBatch|SimdSolveNormal|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Recluster|Service|ServiceWire|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle|UnderlayReceive|GmskPatternMargins|NoiseBounds|CoopHopSim|RouteSim' \
+  -R 'LinkWorkspace|SimdBatch|SimdSolveNormal|HopBatch|AlignedAlloc|Galois|Rlnc|GilbertElliott|SpatialIndex|SpatialGrid|NetworkFuzz|Recluster|Service|ServiceWire|AdaptiveMc|ImportanceSampling|McEngine|DetectorGrid|ParallelForChunks|EbBarMemoOracle|UnderlayReceive|GmskPatternMargins|NoiseBounds|CoopHopSim|RouteSim|NoiseApprox|NoiseCert|DecodedDigest' \
   -j "$(nproc)"
 
 echo "== thread pool under ThreadSanitizer =="

@@ -1,5 +1,6 @@
 #include "comimo/common/bench_json.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -210,9 +211,12 @@ std::string Json::dump_string(int indent) const {
   return os.str();
 }
 
+// The shared pool's size, max(1, hardware_concurrency()), without
+// starting that pool: a bench that runs on its own `--threads` pool
+// must not grow a second one just to write its envelope.
 BenchReporter::BenchReporter(std::string bench_name)
     : bench_name_(std::move(bench_name)),
-      threads_(ThreadPool::shared().size()),
+      threads_(std::max(1u, std::thread::hardware_concurrency())),
       start_monotonic_s_(monotonic_s()) {}
 
 void BenchReporter::add_record(Json params, Json metrics, std::size_t trials,

@@ -41,6 +41,42 @@ struct GaussianPair {
   return {r * std::cos(theta), r * std::sin(theta)};
 }
 
+/// The batch link and hop kernels evaluate box_muller without libm
+/// (add_noise_approx, numeric/simd/batch_kernels_impl.h) and keep a
+/// decision only where a certificate shows that the exact value could
+/// not flip it.  The approximation, from the same two words:
+///   * u1 as above, exactly; u1 = m·2^E with m in [√½, √2);
+///     ln u1 = E·ln 2 + 2·atanh(s), s = (m − 1)/(m + 1), |s| ≤ 3 − 2√2,
+///     atanh by its Taylor series through s¹¹;
+///   * θ = (π/4)·(k + f) with k = w2 >> 61 and f the next 50 bits of
+///     w2 >> 11; x = (π/4)·f, or (π/4)·(1 − f) in odd octants, so x is
+///     in [0, π/4]; sin x through x¹¹, cos x through x¹², then the
+///     octant's swap and signs;
+///   * r̃ = √(−2 ln u1), and the sample r̃·(cos, sin) scaled like the
+///     exact one.
+/// Its distance from the exact complex sample n (what
+/// Rng::complex_gaussian or AwgnChannel::sample_from return, scaled
+/// by σ and a gain g) is at most e = kBoxMullerApproxRelErr·r̃·σ·g +
+/// 2⁻¹⁰⁰⁰:
+///   * ln: the series' tail over its sum is at most z⁶/(13·(1 − z)) =
+///     5.16e-11 at z = s² ≤ 0.0294.  |ln m| ≤ |ln u1| whatever E is, so
+///     ln u1 and r̃² have that relative error too, and r̃ half of it:
+///     2.58e-11 of r;
+///   * trig: the alternating tails are at most x¹³/13! = 6.95e-12 for
+///     sin and x¹⁴/14! = 3.9e-13 for cos at x = π/4, so the unit vector
+///     (cos θ, sin θ) moves by at most 6.96e-12;
+///   * rounding: the approximation's own (the exact u1, the split, s,
+///     the two Horner sums, the sqrt and the products, about 40 roundings
+///     of 2⁻⁵³ each) and the exact chain's (log, sqrt, θ = 2·kPi·u2
+///     within 7e-16 of 2π·u2, cos and sin within 1 ulp) stay below
+///     1e-14 of r.  2⁻⁴⁰ covers them with room;
+///   * |ñ − n| ≤ |r̃ − r| + r·|Δ(cos, sin)| ≤ r·(2.58e-11 + 6.96e-12 +
+///     2⁻⁴⁰), and r ≤ r̃·(1 + 3e-11): hence 3.37e-11.  The 2⁻¹⁰⁰⁰ floor
+///     covers products that underflow, whose rounding is absolute.
+/// Half of e is below the ln term alone, so halving e fails the bound
+/// test near m = √½ or √2 (tests/test_noise_cert.cpp).
+inline constexpr double kBoxMullerApproxRelErr = 3.37e-11;
+
 /// Xoshiro256++ generator with Gaussian / complex-Gaussian / Gamma
 /// sampling on top.  Satisfies UniformRandomBitGenerator.
 class Rng {

@@ -16,10 +16,12 @@
 //   re = (br·sr) + (bi·si)        im = (bi·sr) − (br·si)
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 
+#include "comimo/numeric/rng.h"
 #include "comimo/numeric/simd/gf_kernels_impl.h"
 #include "comimo/numeric/simd/simd.h"
 #include "comimo/numeric/simd/vec.h"
@@ -317,6 +319,197 @@ bool solve_normal_batch(double* a, double* x, std::size_t n) {
   return true;
 }
 
+// Box–Muller of each element's two raw words without libm — the
+// approximation whose error bound rng.h derives next to box_muller.
+// One operation order and no FMA, so every tier computes the same bits.
+// Words arrive as bit patterns in double planes; integer fields come
+// out exactly through the 2⁵² trick: or-ing a value below 2⁵² into the
+// mantissa of 2⁵² and subtracting 2⁵² leaves that value as a double.
+template <class V>
+void add_noise_approx_batch(const double* w1, const double* w2,
+                            std::size_t elems, double sigma, double gain,
+                            double* re, double* im, double* err) {
+  constexpr std::size_t W = V::kWidth;
+  const V zero = V::zero();
+  const V one = V::broadcast(1.0);
+  const V minus_one = V::broadcast(-1.0);
+  const V two52 = V::broadcast(0x1.0p52);
+  const V low_bit = V::broadcast(std::bit_cast<double>(std::uint64_t{1}));
+  const V frac50 = V::broadcast(
+      std::bit_cast<double>((std::uint64_t{1} << 50) - 1));
+  const V mant52 = V::broadcast(
+      std::bit_cast<double>((std::uint64_t{1} << 52) - 1));
+  const V sqrt2 = V::broadcast(1.4142135623730951);
+  const V sig = V::broadcast(sigma);
+  const V gn = V::broadcast(gain);
+  for (std::size_t e = 0; e < elems; ++e) {
+    const std::size_t i = e * W;
+    const V a = V::load(w1 + i);
+    const V b = V::load(w2 + i);
+    // u1 = 1 − (w1 >> 11)·2⁻⁵³, box_muller's own value: the 53-bit
+    // integer is its top 52 bits doubled plus its lowest bit.
+    const V hi = V::or_bits(V::template shr_bits<12>(a), two52) - two52;
+    const V lo =
+        V::or_bits(V::and_bits(V::template shr_bits<11>(a), low_bit), two52) -
+        two52;
+    const V u1 = one - (hi + hi + lo) * V::broadcast(0x1.0p-53);
+    // u1 = m·2^E with m in [√½, √2): split the exponent field off, then
+    // halve mantissas above √2.
+    const V biased =
+        V::or_bits(V::template shr_bits<52>(u1), two52) - two52;
+    const V m0 = V::or_bits(V::and_bits(u1, mant52), one);
+    const V m = V::select_lt(sqrt2, m0, m0 * V::broadcast(0.5), m0);
+    const V ex = (biased - V::broadcast(1023.0)) +
+                 V::select_lt(sqrt2, m0, one, zero);
+    // ln m = 2·atanh(s), s = (m − 1)/(m + 1), |s| ≤ 3 − 2√2: six terms.
+    const V s = (m - one) / (m + one);
+    const V z = s * s;
+    V p = V::broadcast(1.0 / 11.0);
+    p = p * z + V::broadcast(1.0 / 9.0);
+    p = p * z + V::broadcast(1.0 / 7.0);
+    p = p * z + V::broadcast(1.0 / 5.0);
+    p = p * z + V::broadcast(1.0 / 3.0);
+    p = p * z + one;
+    const V ln_u1 = ex * V::broadcast(0.6931471805599453) + (s + s) * p;
+    const V r = V::sqrt(ln_u1 * V::broadcast(-2.0));
+    // θ = 2π·u2 = (π/4)·(octant + f): the octant is w2's top three bits,
+    // f the next 50.  Odd octants reflect, x = (π/4)·(1 − f), so both
+    // polynomials only see x in [0, π/4].
+    const V odd =
+        V::or_bits(V::and_bits(V::template shr_bits<61>(b), low_bit), two52) -
+        two52;
+    const V b1 =
+        V::or_bits(V::and_bits(V::template shr_bits<62>(b), low_bit), two52) -
+        two52;
+    const V b2 = V::or_bits(V::template shr_bits<63>(b), two52) - two52;
+    const V f =
+        (V::or_bits(V::and_bits(V::template shr_bits<11>(b), frac50), two52) -
+         two52) *
+        V::broadcast(0x1.0p-50);
+    const V x = V::select_eq(odd, one, one - f, f) *
+                V::broadcast(0.78539816339744831);
+    const V x2 = x * x;
+    V sp = V::broadcast(-1.0 / 39916800.0);
+    sp = sp * x2 + V::broadcast(1.0 / 362880.0);
+    sp = sp * x2 + V::broadcast(-1.0 / 5040.0);
+    sp = sp * x2 + V::broadcast(1.0 / 120.0);
+    sp = sp * x2 + V::broadcast(-1.0 / 6.0);
+    sp = sp * x2 + one;
+    const V sin_x = x * sp;
+    V cp = V::broadcast(1.0 / 479001600.0);
+    cp = cp * x2 + V::broadcast(-1.0 / 3628800.0);
+    cp = cp * x2 + V::broadcast(1.0 / 40320.0);
+    cp = cp * x2 + V::broadcast(-1.0 / 720.0);
+    cp = cp * x2 + V::broadcast(1.0 / 24.0);
+    cp = cp * x2 + V::broadcast(-0.5);
+    const V cos_x = cp * x2 + one;
+    // Octant k = 4·b2 + 2·b1 + odd: cos and sin trade places when
+    // exactly one of odd and b1 is set; cos is negative when exactly one
+    // of b1 and b2 is, sin when b2 is.
+    const V swap = odd + b1;
+    const V c = V::select_eq(swap, one, sin_x, cos_x) *
+                V::select_eq(b1 + b2, one, minus_one, one);
+    const V sn = V::select_eq(swap, one, cos_x, sin_x) *
+                 V::select_eq(b2, one, minus_one, one);
+    // complex_gaussian's roundings: (r·cos θ)·σ, then the caller's gain.
+    (V::load(re + i) + ((r * c) * sig) * gn).store(re + i);
+    (V::load(im + i) + ((r * sn) * sig) * gn).store(im + i);
+    (V::load(err + i) +
+     (((r * sig) * gn) * V::broadcast(kBoxMullerApproxRelErr) +
+      V::broadcast(0x1.0p-1000)))
+        .store(err + i);
+  }
+}
+
+// Each lane's certificate radius before the solve overwrites the gram:
+// with Gershgorin bounds λ₋ ≤ λ_min and λ₊ ≥ λ_max of the computed gram
+// (less and plus a rounding allowance), the estimate of a chain whose
+// received samples differ by δ moves by at most ‖δ‖·√λ₊/λ₋, then
+// divides by sym_scale.  The 2⁻³⁰‖y‖ and 2⁻⁹⁰⁰ terms are the two
+// chains' rounding (DESIGN.md §10).  A lane without 0 < λ₋ < ∞ gets +∞,
+// and NaN anywhere stays NaN: either fails every margin.
+template <class V>
+void cert_radius_batch(const double* gram, std::size_t n, const double* y,
+                       std::size_t rows, const double* err,
+                       std::size_t err_elems, double sym_scale, double* rho) {
+  constexpr std::size_t W = V::kWidth;
+  const V zero = V::zero();
+  const V inf = V::broadcast(std::numeric_limits<double>::infinity());
+  V lam_lo = inf;
+  V lam_hi = zero;
+  V total = zero;
+  for (std::size_t i = 0; i < n; ++i) {
+    V off = zero;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i) off = off + V::abs(V::load(gram + (i * n + j) * W));
+    }
+    const V d = V::load(gram + (i * n + i) * W);
+    const V lo = d - off;
+    const V hi = d + off;
+    lam_lo = V::select_lt(lo, lam_lo, lo, lam_lo);
+    lam_hi = V::select_lt(lam_hi, hi, hi, lam_hi);
+    // Any NaN or ∞ in the gram makes the total NaN or ∞, and λ₋ with it.
+    total = total + (V::abs(d) + off);
+  }
+  const V slack = total * V::broadcast(0x1.0p-40);
+  lam_lo = lam_lo - slack;
+  lam_hi = lam_hi + slack + V::broadcast(0x1.0p-1000);
+  V yy = zero;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const V v = V::load(y + r * W);
+    yy = yy + v * v;
+  }
+  V ee = zero;
+  for (std::size_t e = 0; e < err_elems; ++e) {
+    const V v = V::load(err + e * W);
+    ee = ee + v * v;
+  }
+  const V spread = lam_hi / lam_lo;
+  const V radius = ((V::sqrt(ee) + V::sqrt(yy) * V::broadcast(0x1.0p-30) *
+                                       spread) *
+                        V::sqrt(lam_hi) +
+                    V::broadcast(0x1.0p-900)) /
+                   lam_lo / V::broadcast(sym_scale);
+  const V out = V::select_lt(zero, lam_lo, radius, inf);
+  V::select_lt(lam_lo, inf, out, inf).store(rho);
+}
+
+// ok[w] = 1 when every element of lane w lies farther than its radius
+// plus 2⁻³⁰·(1 + |re| + |im|)² from every edge of its own axis, else 0.
+// The quadratic term covers the demap's own rounding (the QAM argmin
+// compares rounded squared distances).  An axis without edges never
+// limits the margin; NaN fails the compare.  `rho` holds one radius per
+// lane (rho_stride 0) or one per element (rho_stride 1).
+template <class V>
+void cert_margin_batch(const double* re, const double* im,
+                       std::size_t elems, const double* rho,
+                       std::size_t rho_stride, const double* edges_re,
+                       std::size_t n_re, const double* edges_im,
+                       std::size_t n_im, double* ok) {
+  constexpr std::size_t W = V::kWidth;
+  const V one = V::broadcast(1.0);
+  const V inf = V::broadcast(std::numeric_limits<double>::infinity());
+  V good = one;
+  for (std::size_t e = 0; e < elems; ++e) {
+    const V vr = V::load(re + e * W);
+    const V vi = V::load(im + e * W);
+    V margin = inf;
+    for (std::size_t j = 0; j < n_re; ++j) {
+      const V d = V::abs(vr - V::broadcast(edges_re[j]));
+      margin = V::select_lt(d, margin, d, margin);
+    }
+    for (std::size_t j = 0; j < n_im; ++j) {
+      const V d = V::abs(vi - V::broadcast(edges_im[j]));
+      margin = V::select_lt(d, margin, d, margin);
+    }
+    const V t = one + V::abs(vr) + V::abs(vi);
+    const V thr = V::load(rho + e * rho_stride * W) +
+                  t * t * V::broadcast(0x1.0p-30);
+    good = V::select_lt(thr, margin, good, V::zero());
+  }
+  good.store(ok);
+}
+
 template <class V>
 void qam_nearest_batch(const double* sym_re, const double* sym_im,
                        std::size_t elems, const cplx* points,
@@ -366,6 +559,9 @@ template <class V, class G>
   k.gram_rhs = &gram_rhs_batch<V>;
   k.solve_normal = &solve_normal_batch<V>;
   k.qam_nearest = &qam_nearest_batch<V>;
+  k.add_noise_approx = &add_noise_approx_batch<V>;
+  k.cert_radius = &cert_radius_batch<V>;
+  k.cert_margin = &cert_margin_batch<V>;
   k.gf256_mul_add_row = &G::mul_add_row;
   k.gf256_mul_region = &G::mul_region;
   k.gf_region_xor = &G::xor_row;

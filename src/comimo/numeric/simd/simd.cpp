@@ -8,6 +8,7 @@
 #include "comimo/numeric/simd/simd.h"
 
 #include <atomic>
+#include <bit>
 #include <mutex>
 #include <string>
 
@@ -187,15 +188,13 @@ void random_gaussian_fill_batch(double* re, double* im, std::size_t elems,
   }
 }
 
-void add_scaled_noise_into_batch(double* re, double* im, std::size_t elems,
-                                 std::size_t width, Rng* rngs,
-                                 double variance) {
+void draw_noise_words_batch(double* w1, double* w2, std::size_t elems,
+                            std::size_t width, Rng* rngs) {
   for (std::size_t w = 0; w < width; ++w) {
     Rng& rng = rngs[w];
     for (std::size_t e = 0; e < elems; ++e) {
-      const cplx z = rng.complex_gaussian(variance);
-      re[e * width + w] += z.real();
-      im[e * width + w] += z.imag();
+      w1[e * width + w] = std::bit_cast<double>(rng.next());
+      w2[e * width + w] = std::bit_cast<double>(rng.next());
     }
   }
 }

@@ -147,6 +147,38 @@ struct BatchKernels {
                       std::size_t elems, const cplx* points,
                       std::size_t n_points, std::uint32_t* labels);
 
+  // ---- Certified noise (DESIGN.md §10) --------------------------------
+  //
+  // These compute the same bits at every tier too, so every tier
+  // certifies the same lanes.
+
+  /// Box–Muller of each element's two words (draw_noise_words_batch)
+  /// without libm, scaled like complex_gaussian and then by `gain`:
+  /// re += (r̃·cos θ̃·sigma)·gain, im likewise, and err += that sample's
+  /// bound on its distance from the exact value (rng.h derives it).
+  void (*add_noise_approx)(const double* w1, const double* w2,
+                           std::size_t elems, double sigma, double gain,
+                           double* re, double* im, double* err);
+
+  /// Before the solve: each lane's radius (rho, one element) within
+  /// which its estimates, divided by sym_scale, can move when its
+  /// received samples move by at most err (err_elems elements of the
+  /// rx plane's shape), from Gershgorin bounds on the n × n gram and the
+  /// chains' rounding on the `rows`-element y plane; +∞ for a lane
+  /// whose gram bound is not a positive finite number.
+  void (*cert_radius)(const double* gram, std::size_t n, const double* y,
+                      std::size_t rows, const double* err,
+                      std::size_t err_elems, double sym_scale, double* rho);
+
+  /// ok[w] = 1 when every element of lane w lies farther than its radius
+  /// (rho_stride 0: one per lane; 1: one per element), plus a rounding
+  /// slack, from each decision edge of its axis, else 0.  Fails closed
+  /// on NaN.
+  void (*cert_margin)(const double* re, const double* im, std::size_t elems,
+                      const double* rho, std::size_t rho_stride,
+                      const double* edges_re, std::size_t n_re,
+                      const double* edges_im, std::size_t n_im, double* ok);
+
   // ---- GF(256) region kernels (the RLNC coding/ hot path) -------------
   //
   // Exact byte arithmetic over the 0x11D field (gf256_tables.h):
@@ -168,6 +200,9 @@ struct BatchKernels {
   void (*gf_region_xor)(std::uint8_t* dst, const std::uint8_t* src,
                         std::size_t len);
 };
+
+/// The widest lane count of any tier (AVX-512's W = 8).
+inline constexpr std::size_t kMaxWidth = 8;
 
 /// Detection result for this process (ignores any --simd override).
 [[nodiscard]] Tier detect_best_tier() noexcept;
@@ -196,10 +231,9 @@ void set_mode(std::string_view mode);
 // ---- Per-lane RNG kernels ---------------------------------------------
 //
 // RNG streams are deliberately *not* vectorized: each lane draws from
-// its own per-trial Rng with the scalar Box–Muller, in the scalar
-// kernels' row-major element order, so the (seed, trial) stream
-// contract of mc/engine.h is untouched.  `rngs` is an array of `width`
-// generators, one per lane.
+// its own per-trial Rng in the scalar kernels' row-major element order,
+// so the (seed, trial) stream contract of mc/engine.h is untouched.
+// `rngs` is an array of `width` generators, one per lane.
 
 /// Batched random_gaussian_into: plane element e of lane w receives the
 /// w-th generator's e-th CN(0, variance) draw.
@@ -207,11 +241,14 @@ void random_gaussian_fill_batch(double* re, double* im, std::size_t elems,
                                 std::size_t width, Rng* rngs,
                                 double variance = 1.0);
 
-/// Batched add_scaled_noise_into: += CN(0, variance) per element, same
-/// per-lane draw order as the scalar kernel.
-void add_scaled_noise_into_batch(double* re, double* im, std::size_t elems,
-                                 std::size_t width, Rng* rngs,
-                                 double variance = 1.0);
+/// The two raw words of `elems` noise samples per lane, drawn but not
+/// evaluated, as bit patterns in the planes w1/w2 (std::bit_cast):
+/// element e of lane w holds the w-th generator's e-th pair, and
+/// box_muller of it, scaled by √(variance/2), is what that generator's
+/// e-th complex_gaussian(variance) would have returned when no spare is
+/// pending.  BatchKernels::add_noise_approx evaluates them.
+void draw_noise_words_batch(double* w1, double* w2, std::size_t elems,
+                            std::size_t width, Rng* rngs);
 
 namespace detail {
 // Backend entry points; each returns nullptr when its TU was compiled

@@ -2,8 +2,11 @@
 //
 // Each struct wraps one native vector register of W doubles behind the
 // minimal op set the generic kernels in batch_kernels_impl.h need:
-// aligned load/store, broadcast, +, −, ×, ÷, |·| (sign bit cleared),
-// and strict-< and == lanewise selects.  Compares have the scalar
+// aligned load/store, broadcast, +, −, ×, ÷, √ (correctly rounded, as
+// IEEE requires), |·| (sign bit cleared), strict-< and == lanewise
+// selects, and three operations on the 64-bit pattern of each lane
+// (logical right shift, and, or) with which the noise approximation
+// takes raw RNG words apart.  Compares have the scalar
 // operator's truth table, NaN included (false whenever an operand is
 // NaN).  Only explicit single-op intrinsics are used — never an FMA —
 // because the bit-identity contract (see simd.h) requires every lane to
@@ -12,8 +15,10 @@
 // the matching -m flag, so each backend TU sees exactly one of them.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #if defined(__SSE2__) || defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
@@ -50,16 +55,38 @@ struct VecScalar {
   }
   /// |a| with the sign bit cleared — exact, NaN stays NaN.
   static VecScalar abs(VecScalar a) noexcept { return {std::fabs(a.v)}; }
+  static VecScalar sqrt(VecScalar a) noexcept { return {std::sqrt(a.v)}; }
+  /// Logical right shift of the lane's 64-bit pattern by N.
+  template <int N>
+  static VecScalar shr_bits(VecScalar a) noexcept {
+    return {std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v) >> N)};
+  }
+  static VecScalar and_bits(VecScalar a, VecScalar b) noexcept {
+    return {std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v) &
+                                  std::bit_cast<std::uint64_t>(b.v))};
+  }
+  static VecScalar or_bits(VecScalar a, VecScalar b) noexcept {
+    return {std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v) |
+                                  std::bit_cast<std::uint64_t>(b.v))};
+  }
   /// Lanewise (a < b) ? x : y — the strict-< first-minimum select the
   /// QAM argmin and the pivot search rely on.
   static VecScalar select_lt(VecScalar a, VecScalar b, VecScalar x,
                              VecScalar y) noexcept {
-    return {a.v < b.v ? x.v : y.v};
+    return blend(a.v < b.v, x, y);
   }
   /// Lanewise (a == b) ? x : y — ±0 compare equal, NaN equals nothing.
   static VecScalar select_eq(VecScalar a, VecScalar b, VecScalar x,
                              VecScalar y) noexcept {
-    return {a.v == b.v ? x.v : y.v};
+    return blend(a.v == b.v, x, y);
+  }
+  /// c ? x : y through a bit mask, without a branch: the noise
+  /// approximation selects on random bits, where a branch mispredicts
+  /// half the time.
+  static VecScalar blend(bool c, VecScalar x, VecScalar y) noexcept {
+    const std::uint64_t mask = std::uint64_t{0} - static_cast<std::uint64_t>(c);
+    return {std::bit_cast<double>((std::bit_cast<std::uint64_t>(x.v) & mask) |
+                                  (std::bit_cast<std::uint64_t>(y.v) & ~mask))};
   }
 };
 
@@ -89,6 +116,17 @@ struct VecSse2 {
   }
   static VecSse2 abs(VecSse2 a) noexcept {
     return {_mm_andnot_pd(_mm_set1_pd(-0.0), a.v)};
+  }
+  static VecSse2 sqrt(VecSse2 a) noexcept { return {_mm_sqrt_pd(a.v)}; }
+  template <int N>
+  static VecSse2 shr_bits(VecSse2 a) noexcept {
+    return {_mm_castsi128_pd(_mm_srli_epi64(_mm_castpd_si128(a.v), N))};
+  }
+  static VecSse2 and_bits(VecSse2 a, VecSse2 b) noexcept {
+    return {_mm_and_pd(a.v, b.v)};
+  }
+  static VecSse2 or_bits(VecSse2 a, VecSse2 b) noexcept {
+    return {_mm_or_pd(a.v, b.v)};
   }
   static VecSse2 select_lt(VecSse2 a, VecSse2 b, VecSse2 x,
                            VecSse2 y) noexcept {
@@ -134,6 +172,18 @@ struct VecAvx2 {
   static VecAvx2 abs(VecAvx2 a) noexcept {
     return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v)};
   }
+  static VecAvx2 sqrt(VecAvx2 a) noexcept { return {_mm256_sqrt_pd(a.v)}; }
+  template <int N>
+  static VecAvx2 shr_bits(VecAvx2 a) noexcept {
+    return {_mm256_castsi256_pd(
+        _mm256_srli_epi64(_mm256_castpd_si256(a.v), N))};
+  }
+  static VecAvx2 and_bits(VecAvx2 a, VecAvx2 b) noexcept {
+    return {_mm256_and_pd(a.v, b.v)};
+  }
+  static VecAvx2 or_bits(VecAvx2 a, VecAvx2 b) noexcept {
+    return {_mm256_or_pd(a.v, b.v)};
+  }
   static VecAvx2 select_lt(VecAvx2 a, VecAvx2 b, VecAvx2 x,
                            VecAvx2 y) noexcept {
     const __m256d mask = _mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ);
@@ -178,6 +228,27 @@ struct VecAvx512 {
     return {_mm512_div_pd(a.v, b.v)};
   }
   static VecAvx512 abs(VecAvx512 a) noexcept { return {_mm512_abs_pd(a.v)}; }
+  // sqrt and the shift use the zero-masked forms with every lane
+  // selected: the same instruction, without the undefined pass-through
+  // operand GCC 12 warns about.  The bit operations run on the integer
+  // view: _mm512_and_pd and _mm512_or_pd need AVX512DQ, the epi64 forms
+  // only AVX512F.
+  static VecAvx512 sqrt(VecAvx512 a) noexcept {
+    return {_mm512_maskz_sqrt_pd(0xFF, a.v)};
+  }
+  template <int N>
+  static VecAvx512 shr_bits(VecAvx512 a) noexcept {
+    return {_mm512_castsi512_pd(
+        _mm512_maskz_srli_epi64(0xFF, _mm512_castpd_si512(a.v), N))};
+  }
+  static VecAvx512 and_bits(VecAvx512 a, VecAvx512 b) noexcept {
+    return {_mm512_castsi512_pd(_mm512_and_si512(_mm512_castpd_si512(a.v),
+                                                 _mm512_castpd_si512(b.v)))};
+  }
+  static VecAvx512 or_bits(VecAvx512 a, VecAvx512 b) noexcept {
+    return {_mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(a.v),
+                                                _mm512_castpd_si512(b.v)))};
+  }
   static VecAvx512 select_lt(VecAvx512 a, VecAvx512 b, VecAvx512 x,
                              VecAvx512 y) noexcept {
     const __mmask8 mask = _mm512_cmp_pd_mask(a.v, b.v, _CMP_LT_OQ);
@@ -215,6 +286,19 @@ struct VecNeon {
     return {vdivq_f64(a.v, b.v)};
   }
   static VecNeon abs(VecNeon a) noexcept { return {vabsq_f64(a.v)}; }
+  static VecNeon sqrt(VecNeon a) noexcept { return {vsqrtq_f64(a.v)}; }
+  template <int N>
+  static VecNeon shr_bits(VecNeon a) noexcept {
+    return {vreinterpretq_f64_u64(vshrq_n_u64(vreinterpretq_u64_f64(a.v), N))};
+  }
+  static VecNeon and_bits(VecNeon a, VecNeon b) noexcept {
+    return {vreinterpretq_f64_u64(
+        vandq_u64(vreinterpretq_u64_f64(a.v), vreinterpretq_u64_f64(b.v)))};
+  }
+  static VecNeon or_bits(VecNeon a, VecNeon b) noexcept {
+    return {vreinterpretq_f64_u64(
+        vorrq_u64(vreinterpretq_u64_f64(a.v), vreinterpretq_u64_f64(b.v)))};
+  }
   static VecNeon select_lt(VecNeon a, VecNeon b, VecNeon x,
                            VecNeon y) noexcept {
     return {vbslq_f64(vcltq_f64(a.v, b.v), x.v, y.v)};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 
 #include "comimo/common/error.h"
@@ -28,6 +29,14 @@ obs::Counter& batch_link_blocks_counter() {
   return c;
 }
 
+// Blocks of the certified passes that reran with exact noise; their
+// share of phy.link_blocks is the certificate's miss rate.
+obs::Counter& exact_lanes_counter() {
+  static obs::Counter c =
+      obs::MetricRegistry::global().counter("phy.link_exact_lanes");
+  return c;
+}
+
 // Effective sample size (Σw)²/Σw² recovered from the weight stream's
 // Welford state: Σw = n·mean, Σw² = m2 + n·mean².
 double ess_from_weights(const RunningStats& w) {
@@ -43,9 +52,12 @@ double ess_from_weights(const RunningStats& w) {
 WaveformBerKernel::WaveformBerKernel(int b, unsigned mt, unsigned mr,
                                      double gamma_b)
     : modem_(make_modulator(b)),
+      edges_(*modem_),
       decoder_(StbcCode::for_antennas(mt)),
       mr_(mr) {
   COMIMO_CHECK(b >= 1 && b <= 8, "b in 1..8");
+  COMIMO_CHECK(std::isfinite(gamma_b) && gamma_b >= 0.0,
+               "gamma_b must be finite and >= 0");
   COMIMO_CHECK(mt >= 1 && mt <= kMaxStbcTx,
                "mt outside the STBC design range");
   COMIMO_CHECK(mr >= 1, "need a receive antenna");
@@ -101,13 +113,13 @@ std::size_t WaveformBerKernel::run_block_batch(HopBatchWorkspace& hws,
                "count must fit the prepared lane width");
   const simd::BatchKernels& pinned = simd::active_kernels();
   if (count == ws.width && count == pinned.width) {
-    return run_pass(ws, 0, pinned, rngs);
+    return run_pass(ws, 0, pinned, rngs, false);
   }
   const simd::BatchKernels& scalar =
       *simd::kernels_for_tier(simd::Tier::kScalar);
   std::size_t errors = 0;
   for (std::size_t w = 0; w < count; ++w) {
-    errors += run_pass(ws, w, scalar, rngs + w);
+    errors += run_pass(ws, w, scalar, rngs + w, false);
   }
   return errors;
 }
@@ -115,7 +127,7 @@ std::size_t WaveformBerKernel::run_block_batch(HopBatchWorkspace& hws,
 std::size_t WaveformBerKernel::run_pass(LinkBatchWorkspace& ws,
                                         std::size_t first,
                                         const simd::BatchKernels& k,
-                                        Rng* rngs) const {
+                                        Rng* rngs, bool exact) const {
   const std::size_t w_count = k.width;
   const StbcCode& code = decoder_.code();
   const std::size_t mt = code.num_tx();
@@ -124,6 +136,10 @@ std::size_t WaveformBerKernel::run_pass(LinkBatchWorkspace& ws,
   const std::size_t mr = mr_;
   std::uint8_t* const bits = ws.bits.data() + first * bits_per_block_;
   std::uint8_t* const decoded = ws.decoded.data() + first * bits_per_block_;
+  // Where each lane's stream starts, for a lane that reruns exactly.
+  alignas(Rng) unsigned char saved_mem[sizeof(Rng) * simd::kMaxWidth];
+  Rng* const saved = reinterpret_cast<Rng*>(saved_mem);
+  if (!exact) std::uninitialized_copy_n(rngs, w_count, saved);
 
   // Source bits and modulation stay scalar per lane: bit draws consume
   // lane w's generator first, and the symbol map is a table lookup.
@@ -152,18 +168,55 @@ std::size_t WaveformBerKernel::run_pass(LinkBatchWorkspace& ws,
   k.multiply_transposed(ws.enc_re.data(), ws.enc_im.data(), ws.h_re.data(),
                         ws.h_im.data(), ws.rx_re.data(), ws.rx_im.data(), tt,
                         mt, mr);
-  simd::add_scaled_noise_into_batch(ws.rx_re.data(), ws.rx_im.data(), tt * mr,
-                                    w_count, rngs, 1.0);
+  const std::size_t samples = tt * mr;
+  bool spare[simd::kMaxWidth] = {};
+  if (exact) {
+    for (std::size_t w = 0; w < w_count; ++w) {
+      for (std::size_t e = 0; e < samples; ++e) {
+        const cplx z = rngs[w].complex_gaussian(1.0);
+        ws.rx_re[e * w_count + w] += z.real();
+        ws.rx_im[e * w_count + w] += z.imag();
+      }
+    }
+  } else {
+    // A pending spare would pair the samples' values across word pairs.
+    for (std::size_t w = 0; w < w_count; ++w) {
+      spare[w] = rngs[w].gaussian_spare_pending();
+    }
+    simd::draw_noise_words_batch(ws.noise_w1.data(), ws.noise_w2.data(),
+                                 samples, w_count, rngs);
+    std::fill_n(ws.noise_err.data(), samples * w_count, 0.0);
+    k.add_noise_approx(ws.noise_w1.data(), ws.noise_w2.data(), samples,
+                       std::sqrt(0.5), 1.0, ws.rx_re.data(), ws.rx_im.data(),
+                       ws.noise_err.data());
+  }
   decode_demap_batch(k, code, mr, *modem_, sym_scale_, ws, decoded,
-                     bits_per_block_);
+                     bits_per_block_, exact ? nullptr : &edges_);
 
   std::size_t errors = 0;
+  bool rerun[simd::kMaxWidth] = {};
+  std::size_t reruns = 0;
   for (std::size_t w = 0; w < w_count; ++w) {
+    rerun[w] = !exact && (spare[w] || ws.certified[w] == 0.0);
+    if (rerun[w]) {
+      ++reruns;
+      continue;
+    }
     errors += count_bit_errors(
         {bits + w * bits_per_block_, bits_per_block_},
         {decoded + w * bits_per_block_, bits_per_block_});
   }
+  if (exact) return errors;
   batch_link_blocks_counter().add(w_count);
+  if (reruns == 0) return errors;
+  exact_lanes_counter().add(reruns);
+  const simd::BatchKernels& scalar =
+      *simd::kernels_for_tier(simd::Tier::kScalar);
+  for (std::size_t w = 0; w < w_count; ++w) {
+    if (!rerun[w]) continue;
+    rngs[w] = saved[w];
+    errors += run_pass(ws, first + w, scalar, rngs + w, true);
+  }
   return errors;
 }
 
@@ -187,6 +240,9 @@ WaveformBerPoint measure_waveform_ber(const WaveformBerConfig& config,
                  "IS channel scale must be finite and >= 1");
   }
 
+  // A NaN or infinite γ_b has no symbol scale and no closed form; the
+  // point fails here, before its first block.
+  COMIMO_CHECK(std::isfinite(gamma_b_db), "gamma_b_db must be finite");
   const double gamma_b = db_to_linear(gamma_b_db);
   const WaveformBerKernel kernel(config.b, config.mt, config.mr, gamma_b);
   const std::size_t bits_per_block = kernel.bits_per_block();

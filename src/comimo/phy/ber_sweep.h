@@ -87,7 +87,7 @@ struct WaveformBerPoint {
 /// (bench/perf_kernels counts this).
 class WaveformBerKernel {
  public:
-  /// gamma_b is the *linear* per-branch per-bit SNR.
+  /// gamma_b is the *linear* per-branch per-bit SNR: finite and ≥ 0.
   WaveformBerKernel(int b, unsigned mt, unsigned mr, double gamma_b);
 
   /// Shapes `ws` for this kernel; call before run_block_is() whenever
@@ -125,7 +125,10 @@ class WaveformBerKernel {
   /// table's, runs as one pass on the pinned table; any other count
   /// (the tail of a Monte-Carlo chunk, a workspace prepared at another
   /// width) runs the same body lane by lane at width 1 on the scalar
-  /// table.  Lane w is bit-identical to run_block_is(ws', rngs[w], 1, 1).
+  /// table.  Noise is certified (link_batch.h): a lane whose decisions
+  /// the approximate noise cannot certify reruns at width 1 with exact
+  /// noise.  Lane w is bit-identical to run_block_is(ws', rngs[w], 1, 1),
+  /// and leaves rngs[w] where that call would.
   [[nodiscard]] std::size_t run_block_batch(HopBatchWorkspace& ws, Rng* rngs,
                                             std::size_t count) const;
 
@@ -138,11 +141,14 @@ class WaveformBerKernel {
 
  private:
   /// One pass of k.width blocks over lanes [first, first + k.width) of
-  /// the lane-major bit staging, drawing from rngs[0..k.width).
+  /// the lane-major bit staging, drawing from rngs[0..k.width).  With
+  /// `exact`, noise is libm Box–Muller and nothing is certified.
   std::size_t run_pass(LinkBatchWorkspace& ws, std::size_t first,
-                       const simd::BatchKernels& k, Rng* rngs) const;
+                       const simd::BatchKernels& k, Rng* rngs,
+                       bool exact) const;
 
   std::unique_ptr<Modulator> modem_;
+  DecisionEdges edges_;
   StbcDecoder decoder_;
   unsigned mr_;
   std::size_t bits_per_block_;

@@ -13,6 +13,13 @@ void HopBatchWorkspace::configure_hop(const StbcCode& code, std::size_t mr,
   bits_per_block = bpb;
   belief_bits.resize(num_tx * w * bpb);
   decoded_all.resize(w * bpb);
+  const std::size_t bc_elems = (num_tx - 1) * code.symbols_per_block() * w;
+  bc_re.resize(bc_elems);
+  bc_im.resize(bc_elems);
+  bc_w1.resize(bc_elems);
+  bc_w2.resize(bc_elems);
+  bc_err.resize(bc_elems);
+  bc_labels.resize(code.symbols_per_block() * w);
   // For the full code the sub-block is the whole block, so shaping the
   // link planes here makes the first long-haul pass allocation-free;
   // ladder-degraded sub-codes reshape (smaller, capacity reused) via
@@ -28,6 +35,8 @@ void HopBatchWorkspace::configure_long_haul(const StbcCode& code_use,
   link.configure(code_use, mr, w, sub_bits);
   ant_sym_re.resize(mt_use * k_use * w);
   ant_sym_im.resize(mt_use * k_use * w);
+  fwd_w1.resize(code_use.block_length() * mr * w);
+  fwd_w2.resize(code_use.block_length() * mr * w);
 }
 
 }  // namespace comimo

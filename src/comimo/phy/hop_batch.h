@@ -16,7 +16,9 @@
 //   * lane-major byte staging: lane w's block at [w·bits_per_block, …);
 //   * belief bits add an antenna axis: antenna i, lane w at
 //     [(i·W + w)·bits_per_block, …) — lane-contiguous so the scalar
-//     modulator can take a slice directly.
+//     modulator can take a slice directly;
+//   * the broadcast planes hold every co-transmitter's noisy copy of the
+//     block's K symbols, copy i of symbol s at element (i − 1)·K + s.
 //
 // configure_*() shape with resize(), which reuses capacity, so the
 // steady-state hop loop is allocation-free once the workspace has seen
@@ -52,10 +54,18 @@ struct HopBatchWorkspace {
   /// Hop output, lane-major: lane w at [w·bits_per_block, …).
   BitVec decoded_all;
 
-  // Scalar lane staging for the broadcast leg.
-  std::vector<cplx> lane_syms;  ///< head-broadcast symbols
-  std::vector<cplx> lane_rx;    ///< noisy local copy per co-transmitter
-  BitVec lane_decoded;          ///< scalar demod staging
+  /// Words of the forwarding noise, T_use × mr planes shaped like the
+  /// rx plane (row t, antenna j ≥ 1; column 0 is unused).
+  AlignedVec<double> fwd_w1, fwd_w2;
+
+  // Broadcast planes, (mt − 1)·K elements: co-transmitter i's copy of
+  // symbol s at element (i − 1)·K + s.
+  AlignedVec<double> bc_re, bc_im;  ///< noisy copies
+  AlignedVec<double> bc_w1, bc_w2;  ///< noise words
+  AlignedVec<double> bc_err;        ///< per-sample noise bounds
+  std::vector<std::uint32_t> bc_labels;  ///< K × width demod labels
+
+  std::vector<cplx> lane_syms;  ///< one lane's head-broadcast symbols
 
   std::size_t width = 0;           ///< lanes currently configured
   std::size_t mt = 0;              ///< full-code virtual antennas

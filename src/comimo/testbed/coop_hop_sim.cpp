@@ -1,7 +1,9 @@
 #include "comimo/testbed/coop_hop_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <new>
 #include <optional>
 #include <span>
@@ -41,6 +43,11 @@ struct HopObs {
       obs::MetricRegistry::global().histogram("coophop.hop_ber");
   obs::Histogram hop_wall_s = obs::MetricRegistry::global().histogram(
       "coophop.hop_wall_s", obs::Domain::kRuntime);
+  // Lanes through the certified broadcast and long-haul passes, and
+  // those of them that reran with exact noise.
+  obs::Counter lanes = obs::MetricRegistry::global().counter("coophop.lanes");
+  obs::Counter exact_lanes =
+      obs::MetricRegistry::global().counter("coophop.exact_lanes");
 };
 
 HopObs& hop_obs() {
@@ -90,13 +97,15 @@ struct LaneStreams {
 CoopHopBlockKernel::CoopHopBlockKernel(const UnderlayHopPlan& plan,
                                        double local_snr_db)
     : modem_(make_modulator(plan.b)),
+      edges_(*modem_),
       decoder_full_(StbcCode::for_antennas(plan.config.mt)),
       b_(plan.b),
       mt_(plan.config.mt),
       mr_(plan.config.mr),
       ebar_(plan.ebar),
       n0_(SystemParams{}.n0_w_per_hz),  // ē_b already encodes p, b, m
-      local_noise_var_(db_to_linear(-local_snr_db)) {
+      local_noise_var_(db_to_linear(-local_snr_db)),
+      local_sigma_(std::sqrt(local_noise_var_ / 2.0)) {
   COMIMO_CHECK(plan.b >= 1 && plan.b <= 8,
                "waveform simulation supports b in 1..8");
   COMIMO_CHECK(mr_ >= 1, "need a receive antenna");
@@ -109,25 +118,120 @@ void CoopHopBlockKernel::prepare_batch(HopBatchWorkspace& ws,
   ws.configure_hop(decoder_full_.code(), mr_, width, bits_per_block_);
 }
 
-void CoopHopBlockKernel::broadcast_lane(HopBatchWorkspace& ws,
-                                        std::size_t lane,
-                                        std::span<const std::uint8_t> bits,
-                                        AwgnChannel& local_noise,
-                                        GroupStats& stats) const {
-  // --- Step 1: head broadcast; each co-transmitter decodes its own
-  // noisy copy (the head itself holds the true bits).
-  std::copy(bits.begin(), bits.end(), ws.belief(0, lane));
-  if (mt_ > 1) {
-    modem_->modulate_into(bits, ws.lane_syms);
-    for (unsigned i = 1; i < mt_; ++i) {
-      ws.lane_rx.assign(ws.lane_syms.begin(), ws.lane_syms.end());
-      local_noise.apply(ws.lane_rx);
-      modem_->demodulate_into(ws.lane_rx, ws.lane_decoded);
-      std::copy(ws.lane_decoded.begin(), ws.lane_decoded.end(),
-                ws.belief(i, lane));
-      stats.intra_errors += count_bit_errors(bits, ws.lane_decoded);
-      stats.intra_bits += bits.size();
+void CoopHopBlockKernel::broadcast_batch(HopBatchWorkspace& ws,
+                                         std::size_t count,
+                                         const std::uint8_t* bits,
+                                         AwgnChannel* local_noises,
+                                         GroupStats* stats,
+                                         const simd::BatchKernels* kernels)
+    const {
+  COMIMO_CHECK(count >= 1 && count <= ws.width && count <= kMaxLanes,
+               "lanes must fit the configured lane width");
+  const simd::BatchKernels& k = kernels ? *kernels : simd::active_kernels();
+  if (count == ws.width && count == k.width) {
+    broadcast_pass(ws, 0, k, bits, local_noises, stats, false);
+    return;
+  }
+  const simd::BatchKernels& scalar =
+      *simd::kernels_for_tier(simd::Tier::kScalar);
+  for (std::size_t l = 0; l < count; ++l) {
+    broadcast_pass(ws, l, scalar, bits + l * bits_per_block_,
+                   local_noises + l, stats + l, false);
+  }
+}
+
+// --- Step 1: head broadcast; each co-transmitter decodes its own noisy
+// copy (the head itself holds the true bits).
+void CoopHopBlockKernel::broadcast_pass(HopBatchWorkspace& ws,
+                                        std::size_t first,
+                                        const simd::BatchKernels& k,
+                                        const std::uint8_t* bits,
+                                        AwgnChannel* local_noises,
+                                        GroupStats* stats, bool exact) const {
+  const std::size_t W = k.width;
+  for (std::size_t w = 0; w < W; ++w) {
+    std::copy_n(bits + w * bits_per_block_, bits_per_block_,
+                ws.belief(0, first + w));
+  }
+  if (mt_ == 1) return;
+  const std::size_t kk = decoder_full_.code().symbols_per_block();
+  const std::size_t samples = (mt_ - 1) * kk;
+  // AwgnChannel::apply draws nothing at variance 0: no noise, nothing to
+  // certify.
+  const bool noisy = local_noise_var_ != 0.0;
+  const bool certify = noisy && !exact;
+  alignas(AwgnChannel) unsigned char saved_mem[sizeof(AwgnChannel) *
+                                               kMaxLanes];
+  AwgnChannel* const saved = reinterpret_cast<AwgnChannel*>(saved_mem);
+  if (certify) std::uninitialized_copy_n(local_noises, W, saved);
+  bool rerun[kMaxLanes] = {};
+  for (std::size_t w = 0; w < W; ++w) {
+    modem_->modulate_into({bits + w * bits_per_block_, bits_per_block_},
+                          ws.lane_syms);
+    for (std::size_t e = 0; e < samples; ++e) {
+      ws.bc_re[e * W + w] = ws.lane_syms[e % kk].real();
+      ws.bc_im[e * W + w] = ws.lane_syms[e % kk].imag();
     }
+    AwgnChannel& noise = local_noises[w];
+    if (!noisy) continue;
+    if (exact) {
+      for (std::size_t e = 0; e < samples; ++e) {
+        const cplx z = noise.sample();
+        ws.bc_re[e * W + w] += z.real();
+        ws.bc_im[e * W + w] += z.imag();
+      }
+      continue;
+    }
+    rerun[w] = noise.spare_pending() ||
+               noise.noise_variance() != local_noise_var_;
+    for (std::size_t e = 0; e < samples; ++e) {
+      const NoiseWords nw = noise.draw_words();
+      ws.bc_w1[e * W + w] = std::bit_cast<double>(nw.w1);
+      ws.bc_w2[e * W + w] = std::bit_cast<double>(nw.w2);
+    }
+  }
+  alignas(64) double ok[kMaxLanes] = {};
+  if (certify) {
+    std::fill_n(ws.bc_err.data(), samples * W, 0.0);
+    k.add_noise_approx(ws.bc_w1.data(), ws.bc_w2.data(), samples,
+                       local_sigma_, 1.0, ws.bc_re.data(), ws.bc_im.data(),
+                       ws.bc_err.data());
+    // Each copy is certified against its own sample's bound.
+    k.cert_margin(ws.bc_re.data(), ws.bc_im.data(), samples,
+                  ws.bc_err.data(), 1, edges_.re.data(), edges_.re.size(),
+                  edges_.im.data(), edges_.im.size(), ok);
+  }
+  for (unsigned i = 1; i < mt_; ++i) {
+    const std::size_t at = (i - 1) * kk * W;
+    demap_batch(k, *modem_, ws.bc_re.data() + at, ws.bc_im.data() + at, kk,
+                ws.bc_labels.data(), ws.belief(i, first), bits_per_block_);
+  }
+  std::size_t reruns = 0;
+  for (std::size_t w = 0; w < W; ++w) {
+    rerun[w] = certify && (rerun[w] || ok[w] == 0.0);
+    if (rerun[w]) {
+      ++reruns;
+      continue;
+    }
+    const std::span<const std::uint8_t> lane_bits{bits + w * bits_per_block_,
+                                                  bits_per_block_};
+    for (unsigned i = 1; i < mt_; ++i) {
+      stats[w].intra_errors += count_bit_errors(
+          lane_bits, {ws.belief(i, first + w), bits_per_block_});
+      stats[w].intra_bits += bits_per_block_;
+    }
+  }
+  if (!certify) return;
+  hop_obs().lanes.add(W);
+  if (reruns == 0) return;
+  hop_obs().exact_lanes.add(reruns);
+  const simd::BatchKernels& scalar =
+      *simd::kernels_for_tier(simd::Tier::kScalar);
+  for (std::size_t w = 0; w < W; ++w) {
+    if (!rerun[w]) continue;
+    local_noises[w] = saved[w];
+    broadcast_pass(ws, first + w, scalar, bits + w * bits_per_block_,
+                   local_noises + w, stats + w, true);
   }
 }
 
@@ -146,14 +250,14 @@ void CoopHopBlockKernel::long_haul_batch(
   const simd::BatchKernels& k = kernels ? *kernels : simd::active_kernels();
   if (count == ws.width && count == k.width) {
     long_haul_pass(ws, 0, k, decoder_use, channel_rngs, long_haul_noises,
-                   local_noises);
+                   local_noises, false);
     return;
   }
   const simd::BatchKernels& scalar =
       *simd::kernels_for_tier(simd::Tier::kScalar);
   for (std::size_t l = first; l < first + count; ++l) {
     long_haul_pass(ws, l, scalar, decoder_use, channel_rngs + l,
-                   long_haul_noises + l, local_noises + l);
+                   long_haul_noises + l, local_noises + l, false);
   }
 }
 
@@ -169,7 +273,8 @@ void CoopHopBlockKernel::long_haul_batch(
 void CoopHopBlockKernel::long_haul_pass(
     HopBatchWorkspace& ws, std::size_t first, const simd::BatchKernels& k,
     const StbcDecoder& decoder_use, Rng* channel_rngs,
-    AwgnChannel* long_haul_noises, AwgnChannel* local_noises) const {
+    AwgnChannel* long_haul_noises, AwgnChannel* local_noises,
+    bool exact) const {
   const std::size_t W = k.width;
   const StbcCode& code_use = decoder_use.code();
   const std::size_t mt_use = code_use.num_tx();
@@ -179,6 +284,23 @@ void CoopHopBlockKernel::long_haul_pass(
   const double sym_scale = std::sqrt(static_cast<double>(b_) * ebar_ / n0_ /
                                      code_use.symbol_weight());
   LinkBatchWorkspace& lb = ws.link;
+  // Where each lane's streams start, for a lane that reruns exactly.
+  alignas(Rng) unsigned char saved_channel_mem[sizeof(Rng) * kMaxLanes];
+  alignas(AwgnChannel) unsigned char
+      saved_long_mem[sizeof(AwgnChannel) * kMaxLanes];
+  alignas(AwgnChannel) unsigned char
+      saved_local_mem[sizeof(AwgnChannel) * kMaxLanes];
+  Rng* const saved_channel = reinterpret_cast<Rng*>(saved_channel_mem);
+  AwgnChannel* const saved_long =
+      reinterpret_cast<AwgnChannel*>(saved_long_mem);
+  AwgnChannel* const saved_local =
+      reinterpret_cast<AwgnChannel*>(saved_local_mem);
+  if (!exact) {
+    std::uninitialized_copy_n(channel_rngs, W, saved_channel);
+    std::uninitialized_copy_n(long_haul_noises, W, saved_long);
+    std::uninitialized_copy_n(local_noises, W, saved_local);
+  }
+  bool rerun[kMaxLanes] = {};
 
   for (std::size_t sub = 0; sub < bits_per_block_; sub += sub_bits) {
     // --- Step 2: every antenna encodes its own belief; the receive
@@ -209,32 +331,89 @@ void CoopHopBlockKernel::long_haul_pass(
     k.multiply_transposed(lb.enc_re.data(), lb.enc_im.data(), lb.h_re.data(),
                           lb.h_im.data(), lb.rx_re.data(), lb.rx_im.data(),
                           t_use, mt_use, mr_);
-    // Noise stays scalar per lane: each lane's AwgnChannel must advance
-    // exactly as in the scalar block, in the scalar element order —
-    // row-major over (t, j) for the long haul…
-    for (std::size_t w = 0; w < W; ++w) {
-      for (std::size_t e = 0; e < t_use * mr_; ++e) {
-        const cplx z = long_haul_noises[w].sample();
-        lb.rx_re[e * W + w] += z.real();
-        lb.rx_im[e * W + w] += z.imag();
+    // Noise draws stay scalar per lane: each lane's AwgnChannel must
+    // advance exactly as in the scalar block, in the scalar element
+    // order — row-major over (t, j) for the long haul, then column-major
+    // over (j, t) for step 3: non-head receivers forward raw samples to
+    // the head over local links (analog forwarding adds local noise,
+    // scaled like the symbols).  The head then joint-decodes.
+    if (exact) {
+      // The complex·double scale is componentwise, so adding the scaled
+      // components reproduces `received += sample() * sym_scale`.
+      for (std::size_t w = 0; w < W; ++w) {
+        for (std::size_t e = 0; e < t_use * mr_; ++e) {
+          const cplx z = long_haul_noises[w].sample();
+          lb.rx_re[e * W + w] += z.real();
+          lb.rx_im[e * W + w] += z.imag();
+        }
+        for (unsigned j = 1; j < mr_; ++j) {
+          for (std::size_t t = 0; t < t_use; ++t) {
+            const cplx z = local_noises[w].sample();
+            lb.rx_re[(t * mr_ + j) * W + w] += z.real() * sym_scale;
+            lb.rx_im[(t * mr_ + j) * W + w] += z.imag() * sym_scale;
+          }
+        }
       }
-    }
-    // --- Step 3: non-head receivers forward raw samples to the head
-    // over local links (analog forwarding adds local noise), column-major
-    // over (j, t); the complex·double scale is componentwise, so adding
-    // the scaled components reproduces `received += sample() * sym_scale`
-    // exactly.  The head then joint-decodes.
-    for (std::size_t w = 0; w < W; ++w) {
-      for (unsigned j = 1; j < mr_; ++j) {
+    } else {
+      for (std::size_t w = 0; w < W; ++w) {
+        AwgnChannel& long_noise = long_haul_noises[w];
+        AwgnChannel& local_noise = local_noises[w];
+        rerun[w] = rerun[w] || long_noise.spare_pending() ||
+                   long_noise.noise_variance() != 1.0 ||
+                   (mr_ > 1 && (local_noise.spare_pending() ||
+                                local_noise.noise_variance() !=
+                                    local_noise_var_));
+        for (std::size_t e = 0; e < t_use * mr_; ++e) {
+          const NoiseWords nw = long_noise.draw_words();
+          lb.noise_w1[e * W + w] = std::bit_cast<double>(nw.w1);
+          lb.noise_w2[e * W + w] = std::bit_cast<double>(nw.w2);
+        }
+        for (unsigned j = 1; j < mr_; ++j) {
+          for (std::size_t t = 0; t < t_use; ++t) {
+            const NoiseWords nw = local_noise.draw_words();
+            ws.fwd_w1[(t * mr_ + j) * W + w] = std::bit_cast<double>(nw.w1);
+            ws.fwd_w2[(t * mr_ + j) * W + w] = std::bit_cast<double>(nw.w2);
+          }
+        }
+      }
+      std::fill_n(lb.noise_err.data(), t_use * mr_ * W, 0.0);
+      k.add_noise_approx(lb.noise_w1.data(), lb.noise_w2.data(), t_use * mr_,
+                         std::sqrt(0.5), 1.0, lb.rx_re.data(),
+                         lb.rx_im.data(), lb.noise_err.data());
+      if (mr_ > 1) {
         for (std::size_t t = 0; t < t_use; ++t) {
-          const cplx z = local_noises[w].sample();
-          lb.rx_re[(t * mr_ + j) * W + w] += z.real() * sym_scale;
-          lb.rx_im[(t * mr_ + j) * W + w] += z.imag() * sym_scale;
+          const std::size_t at = (t * mr_ + 1) * W;
+          k.add_noise_approx(ws.fwd_w1.data() + at, ws.fwd_w2.data() + at,
+                             mr_ - 1, local_sigma_, sym_scale,
+                             lb.rx_re.data() + at, lb.rx_im.data() + at,
+                             lb.noise_err.data() + at);
         }
       }
     }
     decode_demap_batch(k, code_use, mr_, *modem_, sym_scale, lb,
-                       ws.decoded_lane(first) + sub, bits_per_block_);
+                       ws.decoded_lane(first) + sub, bits_per_block_,
+                       exact ? nullptr : &edges_);
+    if (!exact) {
+      for (std::size_t w = 0; w < W; ++w) {
+        rerun[w] = rerun[w] || lb.certified[w] == 0.0;
+      }
+    }
+  }
+  if (exact) return;
+  std::size_t reruns = 0;
+  for (std::size_t w = 0; w < W; ++w) reruns += rerun[w] ? 1 : 0;
+  hop_obs().lanes.add(W);
+  if (reruns == 0) return;
+  hop_obs().exact_lanes.add(reruns);
+  const simd::BatchKernels& scalar =
+      *simd::kernels_for_tier(simd::Tier::kScalar);
+  for (std::size_t w = 0; w < W; ++w) {
+    if (!rerun[w]) continue;
+    channel_rngs[w] = saved_channel[w];
+    long_haul_noises[w] = saved_long[w];
+    local_noises[w] = saved_local[w];
+    long_haul_pass(ws, first + w, scalar, decoder_use, channel_rngs + w,
+                   long_haul_noises + w, local_noises + w, true);
   }
 }
 
@@ -245,11 +424,8 @@ void CoopHopBlockKernel::run_group_batch(
   COMIMO_CHECK(count >= 1 && count <= kMaxLanes && count <= ws.width,
                "group must fit the configured lane width");
   LaneStreams streams(seed, local_noise_var_, blk0, count);
-  for (std::size_t w = 0; w < count; ++w) {
-    broadcast_lane(ws, w,
-                   {payload + (blk0 + w) * bits_per_block_, bits_per_block_},
-                   streams.local[w], lane_stats[w]);
-  }
+  broadcast_batch(ws, count, payload + blk0 * bits_per_block_, streams.local,
+                  lane_stats, kernels);
   long_haul_batch(ws, 0, count, decoder_use, streams.channel,
                   streams.long_haul, streams.local, kernels);
 }
@@ -339,11 +515,8 @@ BitVec run_hop(const UnderlayHopPlan& plan, const BitVec& payload,
     kernel.prepare_batch(ws, group);
     LaneStreams streams(seed, kernel.local_noise_var(), blk0, count);
     CoopHopBlockKernel::GroupStats lane_stats[CoopHopBlockKernel::kMaxLanes]{};
-    for (std::size_t w = 0; w < count; ++w) {
-      kernel.broadcast_lane(
-          ws, w, {padded.data() + (blk0 + w) * bits_per_block, bits_per_block},
-          streams.local[w], lane_stats[w]);
-    }
+    kernel.broadcast_batch(ws, count, padded.data() + blk0 * bits_per_block,
+                           streams.local, lane_stats);
     if (degraded(blk0) == degraded(blk0 + count - 1)) {
       kernel.long_haul_batch(ws, 0, count, decoder_for(blk0), streams.channel,
                              streams.long_haul, streams.local);

@@ -19,10 +19,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
+#include "comimo/numeric/simd/simd.h"
 #include "comimo/phy/hop_batch.h"
+#include "comimo/phy/link_batch.h"
 #include "comimo/phy/modulation.h"
 #include "comimo/phy/stbc.h"
 #include "comimo/underlay/cooperative_hop.h"
@@ -33,9 +34,6 @@ class AwgnChannel;
 class Rng;
 class ThreadPool;
 
-namespace simd {
-struct BatchKernels;
-}  // namespace simd
 
 /// Waveform-level fault injection, off by default (the zero-fault path
 /// is bit-identical to the original simulation — no extra RNG draws).
@@ -104,23 +102,25 @@ struct CoopHopSimResult {
 /// head broadcast, per-antenna long-haul STBC, analog collection — for
 /// W independent blocks on a caller-owned HopBatchWorkspace.
 ///
-/// The broadcast runs lane by lane (sequential AwgnChannel streams);
-/// the long haul has one body, the W-wide SoA pass on the batch
-/// kernels.  A group that fills the workspace's width runs it once on
-/// the pinned table; every other lane (a ragged tail, an ARQ retry, a
-/// group whose lanes need different STBC designs) runs the same body
-/// at width 1 on the scalar table.  Each lane derives its randomness
-/// from the counter-based (seed, block-index) streams of the historical
-/// per-block simulation, and the batch kernels preserve every rounding
-/// of the scalar path (the simd/ bit-identity contract), so lane w is
-/// bit-identical to that simulation's block blk0 + w — asserted
-/// lane-bitwise against tests/hop_oracle.h by tests/test_hop_batch.cpp
-/// at every tier.
+/// The broadcast and the long haul each have one body, a W-wide SoA
+/// pass on the batch kernels.  A group that fills the workspace's width
+/// runs it once on the pinned table; every other lane (a ragged tail,
+/// an ARQ retry, a group whose lanes need different STBC designs) runs
+/// the same body at width 1 on the scalar table.  Noise is certified
+/// (phy/link_batch.h): a pass keeps a lane's decisions only when no
+/// exact noise sample within the approximation's bounds could flip one,
+/// and reruns every other lane at width 1 with exact noise.  Each lane
+/// derives its randomness from the counter-based (seed, block-index)
+/// streams of the historical per-block simulation, and the batch
+/// kernels preserve every rounding of the scalar path (the simd/
+/// bit-identity contract), so lane w is bit-identical to that
+/// simulation's block blk0 + w — asserted lane-bitwise against
+/// tests/hop_oracle.h by tests/test_hop_batch.cpp at every tier.
 class CoopHopBlockKernel {
  public:
   /// The widest group the stack-allocated per-lane stream arrays carry
   /// (= the widest SIMD tier, AVX-512's W = 8).
-  static constexpr std::size_t kMaxLanes = 8;
+  static constexpr std::size_t kMaxLanes = simd::kMaxWidth;
 
   CoopHopBlockKernel(const UnderlayHopPlan& plan, double local_snr_db);
 
@@ -133,12 +133,15 @@ class CoopHopBlockKernel {
   /// Shapes `ws` for this kernel's full design at `width` lanes.
   void prepare_batch(HopBatchWorkspace& ws, std::size_t width) const;
 
-  /// Step 1 for one lane: the head's true bits become belief 0; each
-  /// co-transmitter hard-decides its noisy broadcast copy into beliefs
-  /// 1..mt−1, consuming `local_noise` exactly like the historical block.
-  void broadcast_lane(HopBatchWorkspace& ws, std::size_t lane,
-                      std::span<const std::uint8_t> bits,
-                      AwgnChannel& local_noise, GroupStats& stats) const;
+  /// Step 1 for lanes [0, count): lane l's true bits, at
+  /// bits + l·bits_per_block(), become its belief 0; each co-transmitter
+  /// hard-decides its noisy broadcast copy into beliefs 1..mt−1,
+  /// consuming local_noises[l] exactly like the historical block, and
+  /// stats[l] counts its errors.  Dispatches like long_haul_batch.
+  void broadcast_batch(HopBatchWorkspace& ws, std::size_t count,
+                       const std::uint8_t* bits, AwgnChannel* local_noises,
+                       GroupStats* stats,
+                       const simd::BatchKernels* kernels = nullptr) const;
 
   /// Steps 2–3 for lanes [first, first + count) of `ws`, writing the
   /// head's decode into ws.decoded_lane(lane).  Lane l draws from the
@@ -157,9 +160,9 @@ class CoopHopBlockKernel {
                        const simd::BatchKernels* kernels = nullptr) const;
 
   /// `count` consecutive blocks (blk0, blk0+1, …) of `payload`, streams
-  /// constructed internally from (seed, block index): every lane's
-  /// broadcast, then long_haul_batch over lanes [0, count).  lane_stats
-  /// receives `count` entries.
+  /// constructed internally from (seed, block index): broadcast_batch,
+  /// then long_haul_batch over lanes [0, count).  lane_stats receives
+  /// `count` entries.
   void run_group_batch(HopBatchWorkspace& ws, const std::uint8_t* payload,
                        std::size_t blk0, std::size_t count,
                        std::uint64_t seed, const StbcDecoder& decoder_use,
@@ -177,15 +180,25 @@ class CoopHopBlockKernel {
   }
 
  private:
+  /// One broadcast pass of k.width lanes starting at lane `first`; the
+  /// pointers address that lane.  With `exact`, noise is libm
+  /// Box–Muller and nothing is certified.
+  void broadcast_pass(HopBatchWorkspace& ws, std::size_t first,
+                      const simd::BatchKernels& k, const std::uint8_t* bits,
+                      AwgnChannel* local_noises, GroupStats* stats,
+                      bool exact) const;
+
   /// One long-haul pass of k.width lanes starting at lane `first`,
   /// drawing from the stream triples at index 0..k.width of the arrays.
+  /// `exact` as for broadcast_pass.
   void long_haul_pass(HopBatchWorkspace& ws, std::size_t first,
                       const simd::BatchKernels& k,
                       const StbcDecoder& decoder_use, Rng* channel_rngs,
                       AwgnChannel* long_haul_noises,
-                      AwgnChannel* local_noises) const;
+                      AwgnChannel* local_noises, bool exact) const;
 
   std::unique_ptr<Modulator> modem_;
+  DecisionEdges edges_;
   StbcDecoder decoder_full_;
   int b_ = 1;
   unsigned mt_ = 1;
@@ -193,6 +206,7 @@ class CoopHopBlockKernel {
   double ebar_ = 0.0;
   double n0_ = 0.0;
   double local_noise_var_ = 0.0;
+  double local_sigma_ = 0.0;  ///< √(local_noise_var_/2), as AwgnChannel
   std::size_t bits_per_block_ = 0;
 };
 

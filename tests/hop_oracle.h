@@ -1,25 +1,28 @@
 // The lane-serial cooperative hop, kept as the oracle of
 // CoopHopBlockKernel's batch long haul.
 //
-// Each lane runs the historical per-block scalar path: one
-// LinkWorkspace, the block assembled antenna by antenna (every virtual
-// antenna transmits its own, possibly mis-decoded, belief), scalar
-// propagation and noise, StbcDecoder::decode_into and
-// Modulator::demodulate_into.  The broadcast leg is the kernel's own
-// broadcast_lane, and results land in a HopBatchWorkspace's lane-major
-// decoded output, so tests compare the two lane by lane.
+// Each lane runs the historical per-block scalar path with libm noise:
+// the broadcast copy by copy through AwgnChannel::apply and
+// Modulator::demodulate_into, then one LinkWorkspace, the block
+// assembled antenna by antenna (every virtual antenna transmits its
+// own, possibly mis-decoded, belief), scalar propagation and noise,
+// StbcDecoder::decode_into and Modulator::demodulate_into.  Results
+// land in a HopBatchWorkspace's beliefs and lane-major decoded output,
+// so tests compare the two lane by lane.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "comimo/channel/awgn.h"
 #include "comimo/common/constants.h"
 #include "comimo/numeric/cmatrix.h"
 #include "comimo/numeric/rng.h"
+#include "comimo/phy/detector.h"
 #include "comimo/phy/hop_batch.h"
 #include "comimo/phy/link_workspace.h"
 #include "comimo/phy/modulation.h"
@@ -38,6 +41,26 @@ class HopOracle {
         mr_(plan.config.mr),
         ebar_(plan.ebar),
         n0_(SystemParams{}.n0_w_per_hz) {}
+
+  /// Step 1 for one lane: the head's true bits become belief 0; each
+  /// co-transmitter hard-decides its own noisy copy.
+  void broadcast_lane(HopBatchWorkspace& ws, std::size_t lane,
+                      std::span<const std::uint8_t> bits,
+                      AwgnChannel& local_noise,
+                      CoopHopBlockKernel::GroupStats& stats) {
+    std::copy(bits.begin(), bits.end(), ws.belief(0, lane));
+    const auto mt = static_cast<unsigned>(kernel_.decoder_full().code().num_tx());
+    if (mt == 1) return;
+    modem_->modulate_into(bits, syms_);
+    for (unsigned i = 1; i < mt; ++i) {
+      rx_.assign(syms_.begin(), syms_.end());
+      local_noise.apply(rx_);
+      modem_->demodulate_into(rx_, lw_.decoded);
+      std::copy(lw_.decoded.begin(), lw_.decoded.end(), ws.belief(i, lane));
+      stats.intra_errors += count_bit_errors(bits, lw_.decoded);
+      stats.intra_bits += bits.size();
+    }
+  }
 
   /// Steps 2–3 for one lane through the scalar path, writing the head's
   /// decode into ws.decoded_lane(lane).  Symbol scaling: √(b·ē_b/N0)
@@ -108,8 +131,8 @@ class HopOracle {
       AwgnChannel long_haul(1.0, Rng(seed, 0x100 + blk * 3 + 1));
       AwgnChannel local(kernel_.local_noise_var(),
                         Rng(seed, 0x100 + blk * 3 + 2));
-      kernel_.broadcast_lane(ws, w, {payload + blk * bpb, bpb}, local,
-                             lane_stats[w]);
+      broadcast_lane(ws, w, {payload + blk * bpb, bpb}, local,
+                     lane_stats[w]);
       long_haul_lane(ws, w, decoder_use, channel, long_haul, local);
     }
   }
@@ -123,6 +146,8 @@ class HopOracle {
   double n0_;
   LinkWorkspace lw_;
   std::vector<std::vector<cplx>> ant_syms_;
+  std::vector<cplx> syms_;
+  std::vector<cplx> rx_;
 };
 
 }  // namespace comimo::oracle

@@ -17,6 +17,7 @@
 #include "comimo/common/parallel.h"
 #include "comimo/common/units.h"
 #include "comimo/mc/engine.h"
+#include "comimo/obs/metrics.h"
 #include "comimo/phy/ber.h"
 #include "comimo/phy/ber_sweep.h"
 #include "comimo/phy/hop_batch.h"
@@ -361,6 +362,45 @@ TEST(ImportanceSampling, RejectsScalesBelowOneOrNotFinite) {
   off.adaptive.is_mode = IsMode::kOff;
   off.adaptive.is_noise_scale = 0.0;
   EXPECT_NO_THROW((void)measure_waveform_ber(off, 6.0));
+}
+
+TEST(AdaptiveMc, NonFiniteGammaIsRejectedBeforeAnyBlock) {
+  // A NaN or infinite γ_b has no closed form to compare against and no
+  // finite symbol scale; the point must throw before its first block,
+  // on the fixed and the adaptive path alike.
+  obs::MetricRegistry& reg = obs::MetricRegistry::global();
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter blocks = reg.counter("phy.link_blocks");
+  WaveformBerConfig fixed;
+  fixed.b = 2;
+  fixed.mt = 2;
+  fixed.mr = 2;
+  fixed.blocks = 2000;
+  WaveformBerConfig adaptive = fixed;
+  adaptive.adaptive.target_rel_ci = 0.1;
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const WaveformBerConfig& cfg : {fixed, adaptive}) {
+    for (const double gamma_db : bad) {
+      const std::uint64_t before = blocks.value();
+      EXPECT_THROW((void)measure_waveform_ber(cfg, gamma_db), InvalidArgument)
+          << "gamma_b_db " << gamma_db;
+      EXPECT_EQ(blocks.value(), before) << "gamma_b_db " << gamma_db;
+    }
+  }
+  obs::set_enabled(was_enabled);
+  // The kernel itself takes a linear γ_b: NaN, ±∞ and negative values
+  // have no real symbol scale.
+  for (const double gamma_b :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -1.0}) {
+    EXPECT_THROW(WaveformBerKernel(2, 2, 2, gamma_b), InvalidArgument)
+        << "gamma_b " << gamma_b;
+  }
+  EXPECT_NO_THROW(WaveformBerKernel(2, 2, 2, 0.0));
 }
 
 TEST(ImportanceSampling, RequiresCiTarget) {

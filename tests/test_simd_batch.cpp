@@ -7,6 +7,8 @@
 // contract must hold everywhere the kernels load from.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -337,19 +339,27 @@ TEST(SimdBatch, RandomFillKeepsPerLaneStreams) {
       EXPECT_EQ(im[e * width + w], z.imag());
     }
   }
-  // And the additive variant accumulates on top bitwise identically.
-  AlignedVec<double> re2 = re, im2 = im;
+  // The noise words: lane w's e-th pair, evaluated by box_muller and
+  // scaled like complex_gaussian, is its generator's e-th sample, and
+  // the generators end where complex_gaussian leaves them.
+  AlignedVec<double> w1(elems * width), w2(elems * width);
   std::vector<Rng> rngs2;
   for (std::size_t w = 0; w < width; ++w) rngs2.emplace_back(22, w);
-  simd::add_scaled_noise_into_batch(re2.data(), im2.data(), elems, width,
-                                    rngs2.data(), 1.0);
+  simd::draw_noise_words_batch(w1.data(), w2.data(), elems, width,
+                               rngs2.data());
+  const double sigma = std::sqrt(0.5);
   for (std::size_t w = 0; w < width; ++w) {
     Rng ref(22, w);
     for (std::size_t e = 0; e < elems; ++e) {
       const cplx z = ref.complex_gaussian(1.0);
-      EXPECT_EQ(re2[e * width + w], re[e * width + w] + z.real());
-      EXPECT_EQ(im2[e * width + w], im[e * width + w] + z.imag());
+      const GaussianPair g =
+          box_muller(std::bit_cast<std::uint64_t>(w1[e * width + w]),
+                     std::bit_cast<std::uint64_t>(w2[e * width + w]));
+      EXPECT_EQ(g.first * sigma, z.real());
+      EXPECT_EQ(g.second * sigma, z.imag());
     }
+    EXPECT_EQ(rngs2[w].next(), ref.next());
+    EXPECT_FALSE(rngs2[w].gaussian_spare_pending());
   }
 }
 
